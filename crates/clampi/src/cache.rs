@@ -33,12 +33,13 @@
 //! and only charged when `epoch_close` runs — this is what gives *failing*
 //! accesses their better comm/comp overlap in Fig. 8.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use clampi_datatype::FlatLayout;
 use clampi_prng::SmallRng;
 
+use crate::coherence::CoherenceMode;
 use crate::costs::CacheCostModel;
 use crate::eviction::{positional_score, score, temporal_score, VictimScheme};
 use crate::index::{CuckooIndex, EntryId, GetKey, InsertOutcome};
@@ -120,6 +121,20 @@ struct Entry {
 }
 
 const NO_DESC: DescId = DescId::MAX;
+
+/// A read-only view of one resident entry ([`RmaCache::entries`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryView {
+    /// The entry's key: target rank and byte displacement.
+    pub key: GetKey,
+    /// Cached bytes from `key.disp`.
+    pub size: usize,
+    /// Write version the coherence layer compares against put records
+    /// (the conservative pre-read peek).
+    pub version: u64,
+    /// Pending or cached.
+    pub state: EntryState,
+}
 
 /// Result of the lookup phase of a `get_c`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -310,6 +325,31 @@ pub(crate) struct ShardCore {
     /// optimistic readers, so a reallocating push would be a use-after-free
     /// for them, not just a logic bug).
     pin_slab: bool,
+    /// Residents ordered by extent start, kept iff the coherence mode is
+    /// [`CoherenceMode::EagerInvalidate`] — its surgical invalidation is
+    /// the only consumer.
+    extents: Option<ExtentIndex>,
+}
+
+/// Every resident (pending or cached) entry of a shard as
+/// `(target, disp, id)`, ordered by extent start, so an invalidation pass
+/// finds the entries overlapping a written byte range with one range
+/// query instead of an index scan.
+#[derive(Debug, Default)]
+struct ExtentIndex {
+    set: BTreeSet<(u32, u64, EntryId)>,
+    /// Upper bound on every resident entry's size: raised on insert and
+    /// extension, lowered only when the shard empties. An entry
+    /// overlapping `[lo, hi)` therefore starts in
+    /// `[lo − max_size + 1, hi)`.
+    max_size: u64,
+}
+
+impl ExtentIndex {
+    fn clear(&mut self) {
+        self.set.clear();
+        self.max_size = 0;
+    }
 }
 
 impl ShardCore {
@@ -348,6 +388,8 @@ impl ShardCore {
             lease_seed,
             recency: BTreeMap::new(),
             pin_slab,
+            extents: (params.coherence == CoherenceMode::EagerInvalidate)
+                .then(ExtentIndex::default),
         }
     }
 
@@ -393,13 +435,14 @@ impl ShardCore {
         self.entries[id as usize].as_mut().expect("stale entry id")
     }
 
-    fn alloc_entry(&mut self, cx: &mut EngineCtx, e: Entry) -> EntryId {
+    fn alloc_entry(&mut self, p: &CacheParams, cx: &mut EngineCtx, e: Entry) -> EntryId {
         let t = e.key.target as usize;
         if t >= cx.target_counts.len() {
             cx.target_counts.resize(t + 1, 0);
         }
         cx.target_counts[t] += 1;
-        if let Some(id) = self.spare.pop() {
+        let (key, size) = (e.key, e.size as u64);
+        let id = if let Some(id) = self.spare.pop() {
             self.entries[id as usize] = Some(e);
             id
         } else {
@@ -409,7 +452,14 @@ impl ShardCore {
             );
             self.entries.push(Some(e));
             (self.entries.len() - 1) as EntryId
+        };
+        if let Some(x) = self.extents.as_mut() {
+            x.set.insert((key.target, key.disp, id));
+            x.max_size = x.max_size.max(size);
+            // An ordered-set update, priced like the storage AVL's.
+            cx.charge(p.costs.alloc_ns);
         }
+        id
     }
 
     fn lru_enabled(&self) -> bool {
@@ -470,7 +520,7 @@ impl ShardCore {
         self.entry_mut(id).lease = expiry;
     }
 
-    fn drop_entry(&mut self, _p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
+    fn drop_entry(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
         if self.lru_enabled() {
             let last = self.entry(id).last;
             self.recency.remove(&last);
@@ -478,6 +528,11 @@ impl ShardCore {
         // xlint: allow(no-unwrap) invariant: callers drop an id at most once
         let e = self.entries[id as usize].take().expect("double entry drop");
         cx.target_counts[e.key.target as usize] -= 1;
+        if let Some(x) = self.extents.as_mut() {
+            let removed = x.set.remove(&(e.key.target, e.key.disp, id));
+            debug_assert!(removed, "resident entry missing from the extent index");
+            cx.charge(p.costs.alloc_ns);
+        }
         match e.state {
             EntryState::Cached => self.cached_count -= 1,
             // A PENDING entry can be dropped when a Cuckoo displacement
@@ -597,6 +652,7 @@ impl ShardCore {
             exact: false,
         });
         let id = self.alloc_entry(
+            p,
             cx,
             Entry {
                 key,
@@ -723,6 +779,9 @@ impl ShardCore {
                         },
                     };
                 }
+                if let Some(x) = self.extents.as_mut() {
+                    x.max_size = x.max_size.max(size as u64);
+                }
                 self.cached_count -= 1;
                 self.pending.push(id);
                 let copy = p.costs.memcpy_cost(size);
@@ -843,6 +902,12 @@ impl ShardCore {
     fn evict_resident(&mut self, p: &CacheParams, cx: &mut EngineCtx, slot: usize, id: EntryId) {
         let removed = self.index.remove_slot(slot);
         debug_assert!(matches!(removed, Some((_, e)) if e == id));
+        self.release_evicted(p, cx, id);
+    }
+
+    /// Second half of an eviction, once `id` has left the index: counts
+    /// an expired lease, releases the storage, drops the entry.
+    fn release_evicted(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
         if self.policy == VictimScheme::Lease && self.entry(id).lease <= cx.seq {
             cx.stats.lease_expiries += 1;
         }
@@ -1045,7 +1110,10 @@ impl ShardCore {
         dropped
     }
 
-    /// Shard-local half of [`RmaCache::invalidate_overlapping_stale`].
+    /// Shard-local half of [`RmaCache::invalidate_overlapping_stale`]:
+    /// one extent-index range query per record. Priced as one lookup per
+    /// record plus one victim-scan visit per candidate entry examined, so
+    /// a pass costs O(records · log n), independent of `|I_w|`.
     pub(crate) fn invalidate_overlapping_stale(
         &mut self,
         p: &CacheParams,
@@ -1053,30 +1121,35 @@ impl ShardCore {
         target: u32,
         ranges: &[(u64, u64, u64)],
     ) -> usize {
-        let cap = self.index.capacity();
-        cx.charge(p.costs.evict_visit_ns * cap as f64);
-        let mut victims = Vec::new();
-        for slot in 0..cap {
-            if let Some((key, id)) = self.index.slot(slot) {
-                if key.target != target {
-                    continue;
-                }
+        let Some(x) = self.extents.as_ref() else {
+            unreachable!("invalidate_overlapping_stale needs CoherenceMode::EagerInvalidate")
+        };
+        let reach = x.max_size.saturating_sub(1);
+        let mut visited = 0u64;
+        let mut victims: Vec<(u64, EntryId)> = Vec::new();
+        for &(lo, hi, v) in ranges {
+            let from = (target, lo.saturating_sub(reach), 0);
+            for &(_, disp, id) in x.set.range(from..(target, hi, 0)) {
+                visited += 1;
                 let e = self.entry(id);
-                let e_lo = key.disp;
-                let e_hi = key.disp + e.size as u64;
-                let stale = ranges
-                    .iter()
-                    .any(|&(lo, hi, v)| e_lo < hi && lo < e_hi && e.version < v);
-                if stale {
-                    victims.push((slot, id));
+                if lo < disp + e.size as u64 && e.version < v {
+                    victims.push((disp, id));
                 }
             }
         }
-        let dropped = victims.len();
-        for (slot, id) in victims {
-            self.evict_resident(p, cx, slot, id);
+        cx.charge(
+            p.costs.lookup_ns * ranges.len() as f64 + p.costs.evict_visit_ns * visited as f64,
+        );
+        // An entry overlapped by several records is a victim once.
+        victims.sort_unstable();
+        victims.dedup();
+        for &(_, id) in &victims {
+            let key = self.entry(id).key;
+            let removed = self.index.remove(&key);
+            debug_assert_eq!(removed, Some(id));
+            self.release_evicted(p, cx, id);
         }
-        dropped
+        victims.len()
     }
 
     /// Drops every resident entry, resetting index, storage and slab. The
@@ -1091,6 +1164,9 @@ impl ShardCore {
         self.pending.clear();
         self.recency.clear();
         self.cached_count = 0;
+        if let Some(x) = self.extents.as_mut() {
+            x.clear();
+        }
     }
 
     /// Replaces the index (reseeded from `seed_base`) and storage for an
@@ -1109,6 +1185,9 @@ impl ShardCore {
         self.pending.clear();
         self.recency.clear();
         self.cached_count = 0;
+        if let Some(x) = self.extents.as_mut() {
+            x.clear();
+        }
     }
 
     /// Bounds-checked, panic-free probe for the concurrent hit path. Safe
@@ -1437,9 +1516,16 @@ impl RmaCache {
     /// Drops every resident entry keyed to `target` that overlaps one of
     /// the put `ranges` (`(lo, hi, version)`, half-open bytes) *and* was
     /// filled before that put (`entry.version < version`); returns how
-    /// many were dropped. This is the surgical `EagerInvalidate` path: a
-    /// single index scan checks each resident entry against every drained
-    /// notification record.
+    /// many were dropped. This is the surgical `EagerInvalidate` path:
+    /// each drained notification record is one range query on the
+    /// shards' extent indexes, so the cost follows the records, not
+    /// `|I_w|`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the cache was built with
+    /// [`CoherenceMode::EagerInvalidate`], the only mode that keeps the
+    /// extent index.
     pub fn invalidate_overlapping_stale(
         &mut self,
         target: u32,
@@ -1501,6 +1587,23 @@ impl RmaCache {
                 self.params.seed,
             ));
         }
+    }
+
+    /// Every resident (pending or cached) entry, in index-slot order
+    /// shard by shard. Free in virtual time: an introspection view for
+    /// tests and debugging, never on a priced path.
+    pub fn entries(&self) -> impl Iterator<Item = EntryView> + '_ {
+        self.shards.iter().flat_map(|sh| {
+            sh.index.iter().map(move |(_, key, id)| {
+                let e = sh.entry(id);
+                EntryView {
+                    key,
+                    size: e.size,
+                    version: e.version,
+                    state: e.state,
+                }
+            })
+        })
     }
 
     /// Number of entries in the CACHED state.

@@ -22,7 +22,7 @@
 //! |------|--------------------|--------------------------|
 //! | `None` | zero | none (pre-coherence behaviour, bit-identical) |
 //! | `EpochValidate` | one 8-byte version fetch per cached target | whole target on any version change |
-//! | `EagerInvalidate` | CPU-only notification drain | only entries overlapping a drained put record |
+//! | `EagerInvalidate` | CPU-only notification drain; O(records · log n) extent-index queries | only entries overlapping a drained put record |
 //!
 //! Passes run at access-epoch *openings* (`lock`, `lock_all`, `start`) and
 //! after every `flush`/`flush_all`/`fence` — the points where MPI's epoch
@@ -65,7 +65,8 @@ pub enum CoherenceMode {
 #[derive(Debug, Default)]
 pub(crate) struct CoherenceTracker {
     /// `cursors[t]` = ring version of `t` up to which this rank has
-    /// drained (EagerInvalidate only).
+    /// drained (EagerInvalidate only; stays 0 in every other mode).
+    /// See [`CoherenceTracker::validated_through`] for the invariant.
     cursors: Vec<u64>,
     /// Drained records land here (reused across passes).
     scratch: Vec<PutRecord>,
@@ -81,6 +82,26 @@ impl CoherenceTracker {
             scratch: Vec::new(),
             ranges: Vec::new(),
         }
+    }
+
+    /// The version of `target`'s notification ring through which every
+    /// resident entry keyed to `target` has been validated.
+    ///
+    /// **Invariant.** A resident entry of `target` whose snapshot stamp
+    /// is exact at version `s` overlaps no write with version in
+    /// `(s, validated_through(t)]`. An `EagerInvalidate` pass drops every
+    /// entry overlapped by a drained record newer than the entry *before*
+    /// it advances the cursor; an overflowed or failed pass drops every
+    /// entry of the target; the empty-target shortcut holds vacuously; an
+    /// entry filled later is stamped at or above the cursor; and an
+    /// extension whose tail was fetched after a write keeps no exact
+    /// stamp. A snapshot drain may therefore start at
+    /// `max(min stamp version, validated_through(t))`: the records it
+    /// skips cannot overlap any request it serves from the cache.
+    ///
+    /// 0 (no records skipped) in every mode but `EagerInvalidate`.
+    pub(crate) fn validated_through(&self, target: usize) -> u64 {
+        self.cursors.get(target).copied().unwrap_or(0)
     }
 
     /// Runs one coherence pass over `target` (`None` = every target) in

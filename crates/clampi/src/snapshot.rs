@@ -35,10 +35,21 @@
 //! A validation attempt aborts (and the whole batch retries, bounded by
 //! [`SnapshotCtx::max_attempts`]) when
 //!
-//! - the notification ring **overflowed** past an entry's stamp, so its
-//!   interval cannot be bounded, or
+//! - the notification ring **overflowed** past where the drain must
+//!   start, so an interval cannot be bounded, or
 //! - the bounded refetch rounds ([`SnapshotCtx::max_rounds`]) fail to
 //!   close the intersection under a fast writer.
+//!
+//! The drain for a target starts at the oldest of its requests' stamps,
+//! but never below the **coherence frontier**: under
+//! [`crate::CoherenceMode::EagerInvalidate`] every pass drops the
+//! entries a drained record overlaps before advancing its cursor, so a
+//! surviving entry has no overlapping write up to that cursor and the
+//! records before it need not be read again. An overflow abort therefore
+//! needs more than ring-capacity writes to one target *between two
+//! coherence passes*, not merely a cached entry older than the ring
+//! horizon. In the other modes no pass vouches for the entries and the
+//! drain starts at the oldest stamp.
 //!
 //! Retry attempts bypass the cache entirely (direct fetches with fresh
 //! stamps), so a stale resident entry cannot livelock the batch. A target
@@ -333,7 +344,10 @@ mod tests {
 /// reader gathering, draining and validating a two-request batch. The
 /// checked property is the issue's #4: on every schedule, the chosen
 /// timestamp lies inside every request's validity interval; and the
-/// refetch-on-`Err` loop is bounded.
+/// refetch-on-`Err` loop is bounded. A second harness adds an
+/// `EagerInvalidate` coherence pass before the batch and starts each
+/// drain at the coherence frontier, with a planted mutant (a pass that
+/// advances its cursor without dropping) that must be caught.
 #[cfg(all(test, clampi_mc))]
 mod mc_tests {
     use super::*;
@@ -365,11 +379,17 @@ mod mc_tests {
     /// clock cap, both sampled inside the ring lock — the discipline
     /// `try_drain_notifications` ships.
     fn drain(clock: &CommitClock, ring: &Ring, stamp: SnapStamp) -> (u64, u64) {
+        drain_from(clock, ring, stamp.version)
+    }
+
+    /// [`drain`] over the records after version `from` only — the
+    /// snapshot drain started at `max(stamp, coherence frontier)`.
+    fn drain_from(clock: &CommitClock, ring: &Ring, from: u64) -> (u64, u64) {
         let r = ring.lock();
         let cap = clock.read();
         let hi = r
             .iter()
-            .find(|(version, _)| *version > stamp.version)
+            .find(|(version, _)| *version > from)
             .map(|&(_, ts)| ts)
             .unwrap_or(u64::MAX);
         (hi, cap)
@@ -430,5 +450,107 @@ mod mc_tests {
     fn mc_snapshot_timestamp_inside_every_validity_interval() {
         let report = clampi_mc::check(clampi_mc::Config::smoke(), snapshot_body);
         report.assert_pass();
+    }
+
+    /// An `EagerInvalidate` pass over one target's ring: drops the cached
+    /// entry if a record newer than its stamp was drained (every record
+    /// overlaps it in this model), then advances the cursor. The planted
+    /// mutant (`drop_overlapped == false`) advances without dropping.
+    fn coherence_pass(
+        ring: &Ring,
+        entry: &mut Option<SnapStamp>,
+        cursor: &mut u64,
+        drop_overlapped: bool,
+    ) {
+        let r = ring.lock();
+        let overlapped = entry.is_some_and(|e| {
+            r.iter()
+                .any(|&(version, _)| version > *cursor && version > e.version)
+        });
+        if overlapped && drop_overlapped {
+            *entry = None;
+        }
+        *cursor = r.len() as u64;
+    }
+
+    /// The coherence-frontier rule: the reader caches both targets, a
+    /// writer puts once per target, the reader runs a coherence pass and
+    /// then a batch that serves surviving entries from the cache and
+    /// drains each target from `max(stamp, cursor)`. The chosen timestamp
+    /// is checked against the *ground-truth* intervals — the first write
+    /// after each stamp in the full ring, read after the writer joined —
+    /// not the ones the truncated drains saw.
+    fn frontier_body(drop_overlapped: bool) {
+        let clock = Arc::new(CommitClock::new());
+        let rings: [Arc<Ring>; 2] = [
+            Arc::new(clampi_mc::Mutex::with_label(Vec::new(), "ring0")),
+            Arc::new(clampi_mc::Mutex::with_label(Vec::new(), "ring1")),
+        ];
+        // Cache fill before the writer starts: stamps at version 0.
+        let mut entries = [Some(read_stamp(&rings[0])), Some(read_stamp(&rings[1]))];
+        let mut cursors = [0u64; 2];
+        let (clock_w, r0, r1) = (clock.clone(), rings[0].clone(), rings[1].clone());
+        let writer = clampi_mc::spawn(move || {
+            put(&clock_w, &r0);
+            put(&clock_w, &r1);
+        });
+        for ((ring, entry), cursor) in rings.iter().zip(&mut entries).zip(&mut cursors) {
+            coherence_pass(ring, entry, cursor, drop_overlapped);
+        }
+        let mut attempts = 0;
+        let (chosen, stamps) = loop {
+            attempts += 1;
+            assert!(attempts <= 3, "refetch rounds must be bounded");
+            // Gather: a surviving entry is a hit with its old stamp, a
+            // dropped one is refetched fresh.
+            let stamps = [0, 1].map(|t| entries[t].unwrap_or_else(|| read_stamp(&rings[t])));
+            let [(h0, c0), (h1, c1)] =
+                [0, 1].map(|t| drain_from(&clock, &rings[t], stamps[t].version.max(cursors[t])));
+            let bounds = [
+                ReqBound {
+                    stamp: stamps[0],
+                    hi: h0,
+                },
+                ReqBound {
+                    stamp: stamps[1],
+                    hi: h1,
+                },
+            ];
+            match choose_timestamp(&bounds, c0.min(c1)) {
+                Ok(t) => break (t, stamps),
+                Err(bar) => {
+                    for (t, b) in bounds.iter().enumerate() {
+                        if b.hi <= bar {
+                            entries[t] = None;
+                        }
+                    }
+                }
+            }
+        };
+        writer.join();
+        for (t, stamp) in stamps.iter().enumerate() {
+            let (true_hi, _) = drain(&clock, &rings[t], *stamp);
+            assert!(
+                stamp.ts <= chosen && chosen < true_hi,
+                "chosen timestamp {chosen} outside target {t}'s validity interval [{}, {true_hi})",
+                stamp.ts
+            );
+        }
+    }
+
+    #[test]
+    fn mc_snapshot_drain_from_coherence_frontier_is_sound() {
+        let report = clampi_mc::check(clampi_mc::Config::smoke(), || frontier_body(true));
+        report.assert_pass();
+    }
+
+    /// Planted mutant: a pass that advances the cursor without dropping
+    /// the overlapped entry lets the frontier-started drain skip the very
+    /// write that ends the entry's interval.
+    #[test]
+    fn mc_mutant_cursor_advance_without_drop_caught() {
+        let report = clampi_mc::check(clampi_mc::Config::smoke(), || frontier_body(false));
+        let cx = report.expect_fail();
+        assert!(cx.message.contains("outside target"), "got: {}", cx.message);
     }
 }

@@ -1096,14 +1096,18 @@ impl CachedWindow {
                 // Drain from the oldest stamp among this target's
                 // requests: every record a stamped payload could have
                 // missed must be visible, or the interval is unbounded.
-                let cursor = (0..reqs.len())
+                // Records up to the coherence frontier cannot overlap a
+                // resident entry (`validated_through`), and every fetched
+                // stamp is at or above it, so the drain starts there.
+                let oldest = (0..reqs.len())
                     .filter(|&i| reqs[i].target as usize == t && reqs[i].len > 0)
                     .map(|i| ctx.bounds[i].stamp.version)
                     .min()
                     .unwrap_or(u64::MAX);
-                if cursor == u64::MAX {
+                if oldest == u64::MAX {
                     continue;
                 }
+                let cursor = oldest.max(self.coherence.validated_through(t));
                 let drained = with_retry(p, &self.retry, &mut self.fault_stats, |p| {
                     ctx.records.clear();
                     self.win

@@ -25,16 +25,24 @@
 //! 4. (directed) a rank failure with notifications still pending
 //!    degrades to a *full per-target invalidation* — the pending
 //!    updates are never silently dropped, and post-failure gets return
-//!    zeros, never a stale cached value.
+//!    zeros, never a stale cached value;
+//! 5. **surgical invalidation drops exactly the stale overlapped set**:
+//!    driven on the engine directly, the extent-index
+//!    [`RmaCache::invalidate_overlapping_stale`] drops the same entries
+//!    a brute-force scan of every resident entry selects — over random
+//!    entry sizes and extensions, partial overlaps, several records per
+//!    entry, pending entries and several shards.
 
+use clampi::index::GetKey;
 use clampi::{
-    AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, Mode,
-    RetryPolicy,
+    AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, CoherenceMode, EntryState,
+    EntryView, LayoutSig, Lookup, Mode, RetryPolicy, RmaCache,
 };
 use clampi_datatype::Datatype;
 use clampi_prng::prop::{check, Gen};
 use clampi_prng::SmallRng;
 use clampi_rma::{run_collect, FaultConfig, SimConfig};
+use std::collections::BTreeSet;
 
 const SIZE: usize = 32;
 
@@ -396,4 +404,113 @@ fn rank_failure_degrades_pending_notifications_to_full_invalidation() {
     // cached version (pattern bytes are never zero).
     assert_eq!(classes, vec![Some(AccessType::Failed); RECORDS]);
     assert!(zeroed.iter().all(|&z| z), "degraded reads must be zeros");
+}
+
+/// The reference for property 5: a brute-force scan of every resident
+/// entry, applying the `EagerInvalidate` staleness rule (overlaps a
+/// record's `[lo, hi)` and was filled before the record's version).
+fn slot_scan_victims(
+    entries: &[EntryView],
+    target: u32,
+    ranges: &[(u64, u64, u64)],
+) -> BTreeSet<(u32, u64)> {
+    entries
+        .iter()
+        .filter(|e| {
+            let (e_lo, e_hi) = (e.key.disp, e.key.disp + e.size as u64);
+            e.key.target == target
+                && ranges
+                    .iter()
+                    .any(|&(lo, hi, v)| e_lo < hi && lo < e_hi && e.version < v)
+        })
+        .map(|e| (e.key.target, e.key.disp))
+        .collect()
+}
+
+#[test]
+fn prop_extent_index_invalidation_matches_slot_scan() {
+    check("extent-index invalidation == slot scan oracle", 48, |g| {
+        let mut cache = RmaCache::new(CacheParams {
+            index_entries: g.range(16..160usize),
+            storage_bytes: g.range(1usize << 10..16 << 10),
+            coherence: CoherenceMode::EagerInvalidate,
+            shards: g.range(1..=3usize),
+            seed: g.u64(),
+            ..CacheParams::default()
+        });
+        // A small displacement grid makes keys recur (hits, extensions)
+        // and extents overlap.
+        let grid = g.range(8..96u64);
+        let max_size = g.range(1..=160usize);
+        for _ in 0..g.range(1..8usize) {
+            for _ in 0..g.range(1..48usize) {
+                let cached: Vec<EntryView> = cache
+                    .entries()
+                    .filter(|e| e.state == EntryState::Cached)
+                    .collect();
+                let (key, size) = if !cached.is_empty() && g.bool_with(0.3) {
+                    // Extend a cached entry past every size drawn so far.
+                    let e = cached[g.range(0..cached.len())];
+                    (e.key, e.size + g.range(1..=e.size))
+                } else {
+                    let key = GetKey {
+                        target: g.range(0..3u32),
+                        disp: 8 * g.range(0..grid),
+                    };
+                    (key, g.range(1..=max_size))
+                };
+                let sig = LayoutSig::Contig(size);
+                let mut dst = vec![0u8; size];
+                let data = vec![key.disp as u8; size];
+                let version = g.range(0..24u64);
+                match cache.process_lookup(key, &sig, &mut dst) {
+                    Lookup::Miss => {
+                        cache.finish_miss(key, sig, &data, version);
+                    }
+                    Lookup::PartialHit { .. } => {
+                        cache.finish_partial(key, sig, &data, version);
+                    }
+                    Lookup::Hit => {}
+                }
+                // Close epochs only sometimes, so pending entries remain.
+                if g.bool_with(0.2) {
+                    cache.epoch_close();
+                }
+            }
+            let before: Vec<EntryView> = cache.entries().collect();
+            let target = g.range(0..3u32);
+            let mut ranges = Vec::new();
+            for _ in 0..g.range(0..12usize) {
+                let v = g.range(0..28u64);
+                let anchor = (!before.is_empty() && g.bool())
+                    .then(|| before[g.range(0..before.len())])
+                    .filter(|e| e.key.target == target);
+                match anchor {
+                    // Records cutting into a resident entry (partial
+                    // overlaps), sometimes two on the same entry.
+                    Some(e) => {
+                        for _ in 0..g.range(1..=2usize) {
+                            let lo = e.key.disp + g.range(0..e.size as u64);
+                            ranges.push((lo, lo + g.range(1..=64u64), v));
+                        }
+                    }
+                    None => {
+                        let lo = g.range(0..8 * grid + 64);
+                        ranges.push((lo, lo + g.range(0..=128u64), v));
+                    }
+                }
+            }
+            let want = slot_scan_victims(&before, target, &ranges);
+            let dropped = cache.invalidate_overlapping_stale(target, &ranges);
+            let key_of = |e: &EntryView| (e.key.target, e.key.disp);
+            let after: BTreeSet<(u32, u64)> = cache.entries().map(|e| key_of(&e)).collect();
+            let gone: BTreeSet<(u32, u64)> = before
+                .iter()
+                .map(key_of)
+                .filter(|k| !after.contains(k))
+                .collect();
+            assert_eq!(gone, want, "dropped set diverged from the slot scan");
+            assert_eq!(dropped, want.len());
+        }
+    });
 }

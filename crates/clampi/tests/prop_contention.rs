@@ -14,8 +14,10 @@
 //!    == total_gets` for the get-then-insert-on-miss usage the front
 //!    documents.
 //! 2. **the windowed engine keeps the same partition single-threaded** —
-//!    a random mix of `get`/`get_nb`/`put` (with interleaved flushes)
-//!    against a [`CachedWindow`] leaves the classification equation exact,
+//!    a random mix of `get`/`get_nb`/`put` (with interleaved flushes,
+//!    and every put flushed on both sides so it never shares an epoch
+//!    with a conflicting access) against a [`CachedWindow`] leaves the
+//!    classification equation exact,
 //!    so the concurrent front and the deterministic engine agree on what
 //!    the stats mean.
 
@@ -160,8 +162,13 @@ fn prop_windowed_engine_keeps_stats_partition() {
                             win.get_nb(p, &mut dst, 1, r * rec_len, &dt, 1);
                         }
                         8 => {
+                            // A put conflicts with any get or put of the
+                            // same range in its epoch (MPI-3), so it gets
+                            // an epoch of its own: flush on both sides.
                             let src = vec![rng.gen_range(0..=255u32) as u8; rec_len];
+                            win.flush(p, 1);
                             win.put(p, &src, 1, r * rec_len, &dt, 1);
+                            win.flush(p, 1);
                         }
                         _ => win.flush_all(p),
                     }

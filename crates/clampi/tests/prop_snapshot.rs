@@ -501,6 +501,128 @@ fn overflow_during_validation_aborts_and_retries_never_tears() {
     }
 }
 
+/// Runs the frontier scenario: rank 0 caches every slot through one
+/// `multi_get` under `EagerInvalidate`, rank 1 then puts `TOTAL` writes
+/// into the first `HOT` slots — more than the ring holds — and both
+/// ranks run a coherence pass after every `puts_per_pass` writes
+/// (`None`: no pass at all). Finally rank 0 reads the whole batch again:
+/// the cold slots are hits whose stamps predate the ring horizon.
+fn frontier_run(
+    puts_per_pass: Option<u64>,
+) -> (Result<(Vec<u8>, SnapshotInfo), String>, CacheStats) {
+    const SLOTS: usize = 8;
+    let out = run_collect(
+        SimConfig::default().with_notify_ring_cap(FRONTIER_CAP),
+        2,
+        move |p| {
+            let rank = p.rank();
+            let cfg = ClampiConfig::fixed(
+                Mode::AlwaysCache,
+                CacheParams {
+                    index_entries: 64,
+                    storage_bytes: 16 << 10,
+                    coherence: CoherenceMode::EagerInvalidate,
+                    ..CacheParams::default()
+                },
+            );
+            let mut win = CachedWindow::create(p, SLOTS * SLOT, cfg);
+            p.barrier();
+            win.lock_all(p);
+            let mut ctx = SnapshotCtx::new();
+            let reqs: Vec<SnapReq> = (0..SLOTS)
+                .map(|k| SnapReq {
+                    target: 1,
+                    disp: k * SLOT,
+                    len: SLOT,
+                })
+                .collect();
+            let mut dst = vec![0u8; SLOTS * SLOT];
+            if rank == 0 {
+                // Outcome checked by the final batch's byte comparison.
+                let _ = win.multi_get(p, &mut ctx, &reqs, &mut dst);
+            }
+            p.barrier();
+            let dtype = Datatype::bytes(SLOT);
+            for j in 1..=FRONTIER_TOTAL {
+                if rank == 1 {
+                    let k = (j % FRONTIER_HOT) as usize;
+                    win.put(p, &encode(j, k), 1, k * SLOT, &dtype, 1);
+                    win.flush(p, 1);
+                }
+                if puts_per_pass.is_some_and(|n| j % n == 0) {
+                    p.barrier();
+                    win.validate(p);
+                }
+            }
+            p.barrier();
+            let mut last: Result<(Vec<u8>, SnapshotInfo), String> = Err("not rank 0".into());
+            if rank == 0 {
+                last = win
+                    .multi_get(p, &mut ctx, &reqs, &mut dst)
+                    .map(|info| (dst.clone(), info))
+                    .map_err(|e| e.to_string());
+            }
+            p.barrier();
+            win.unlock_all(p);
+            p.barrier();
+            (last, win.stats())
+        },
+    );
+    out[0].1.clone()
+}
+
+const FRONTIER_CAP: usize = 4;
+const FRONTIER_HOT: u64 = 2;
+/// Three ring-fulls of writes in total.
+const FRONTIER_TOTAL: u64 = 3 * FRONTIER_CAP as u64;
+
+/// The final batch of [`frontier_run`] must be the writer's final state:
+/// the last write to each hot slot, zeros in the cold ones.
+fn assert_frontier_final_state(bytes: &[u8]) {
+    for k in 0..bytes.len() / SLOT {
+        let want = if (k as u64) < FRONTIER_HOT {
+            last_write(k, FRONTIER_TOTAL, FRONTIER_HOT)
+        } else {
+            0
+        };
+        assert_eq!(
+            decode(k, &bytes[k * SLOT..(k + 1) * SLOT]),
+            want,
+            "slot {k}"
+        );
+    }
+}
+
+/// Regression: when coherence passes keep pace with the writer (fewer
+/// than ring-capacity writes between two passes), a batch over cached
+/// entries stamped before the ring horizon validates from the coherence
+/// frontier instead of the entries' stamps — no overflow, no abort —
+/// and still returns the writer's final state.
+#[test]
+fn snapshot_validates_from_the_coherence_frontier() {
+    let (last, stats) = frontier_run(Some(FRONTIER_CAP as u64 / 2));
+    let (bytes, info) = last.expect("fault-free batch");
+    assert_frontier_final_state(&bytes);
+    assert_eq!(stats.notification_overflows, 0, "every pass kept up");
+    assert_eq!(
+        info.aborts, 0,
+        "entries older than the ring horizon must not abort"
+    );
+    assert_eq!(stats.snapshot_aborts, 0);
+}
+
+/// Companion: with more than ring-capacity writes and no pass between
+/// them, the frontier cannot vouch for the stale stamps — the batch
+/// still aborts, retries direct, and stays correct.
+#[test]
+fn snapshot_without_passes_still_aborts_on_overflow() {
+    let (last, stats) = frontier_run(None);
+    let (bytes, info) = last.expect("overflow degrades to retry, not failure");
+    assert_frontier_final_state(&bytes);
+    assert!(info.aborts >= 1, "ring overflow past the stamps must abort");
+    assert!(stats.snapshot_aborts >= 1);
+}
+
 /// `Mode::Disabled` batches read direct and must equal sequential
 /// uncached gets byte for byte (there is nothing to be stale against).
 #[test]

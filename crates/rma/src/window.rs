@@ -501,6 +501,18 @@ impl Window {
         }
     }
 
+    /// RMASAN hook for an atomic on `[start, end)` of `target`: the
+    /// atomic clock exchange ([`WinSanShared::atomic_sync`], joining when
+    /// `acquire`), then the access-log entry. Callers hold the region
+    /// write lock: a sync taken before the lock could let a spinning CAS
+    /// read a released lock word without joining the releaser's clock.
+    fn san_atomic(&self, p: &mut Process, target: usize, start: usize, end: usize, acquire: bool) {
+        if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
+            shared.atomic_sync(ctx, target, acquire);
+            shared.log_access(ctx, target, start, end, AccessKind::Atomic);
+        }
+    }
+
     /// RMASAN hook for local reads of buffers previously handed to a get:
     /// reports [`SanKind::ReadBeforeFlush`] if `buf` overlaps the
     /// destination of a get that has not yet completed (no flush/unlock/
@@ -1019,15 +1031,14 @@ impl Window {
             },
             AccessKind::Atomic,
         );
-        // An accumulate is a one-way atomic: it publishes this rank's
-        // clock for later value-returning atomics to join, but learns
-        // nothing itself (no result flows back into control flow).
-        if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-            shared.atomic_sync(ctx, target, false);
-        }
-        self.san_log_access(p, target, disp, disp + span, AccessKind::Atomic);
         {
             let mut region = sync::write(&self.shared.regions[target]);
+            // An accumulate is a one-way atomic: it publishes this rank's
+            // clock for later value-returning atomics to join, but learns
+            // nothing itself (no result flows back into control flow).
+            // Synced inside the region critical section, so the order of
+            // atomic clock exchanges is the order of the updates.
+            self.san_atomic(p, target, disp, disp + span, false);
             let mut cursor = 0;
             for b in layout.blocks() {
                 let dst = &mut region[disp + b.offset..disp + b.offset + b.len];
@@ -1094,17 +1105,15 @@ impl Window {
             disp + 8 <= self.shared.sizes[target],
             "fetch_and_op out of bounds at target {target}"
         );
-        // Value-returning atomic: a two-way synchronization point. Joining
-        // the clocks of every prior atomic on this region gives CAS-built
-        // locks and ticket counters real happens-before edges. Atomics are
-        // deliberately exempt from the epoch gate — the simulator models
-        // them as standalone synchronous ops usable outside lock epochs.
-        if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-            shared.atomic_sync(ctx, target, true);
-        }
-        self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
+        // Atomics are deliberately exempt from the epoch gate — the
+        // simulator models them as standalone synchronous ops usable
+        // outside lock epochs.
         let prev = {
             let mut region = sync::write(&self.shared.regions[target]);
+            // Value-returning atomic: a two-way synchronization point.
+            // Joining the clocks of every prior atomic on this region gives
+            // CAS-built locks and ticket counters real happens-before edges.
+            self.san_atomic(p, target, disp, disp + 8, true);
             let cur = u64::from_le_bytes(le8(&region[disp..disp + 8]));
             let new = op(cur, operand);
             region[disp..disp + 8].copy_from_slice(&new.to_le_bytes());
@@ -1141,13 +1150,10 @@ impl Window {
             disp + 8 <= self.shared.sizes[target],
             "compare_and_swap out of bounds at target {target}"
         );
-        // Two-way synchronization point, exactly like fetch_and_op.
-        if let (Some(shared), Some(ctx)) = (self.shared.san.as_ref(), p.san.as_mut()) {
-            shared.atomic_sync(ctx, target, true);
-        }
-        self.san_log_access(p, target, disp, disp + 8, AccessKind::Atomic);
         let prev = {
             let mut region = sync::write(&self.shared.regions[target]);
+            // Two-way synchronization point, exactly like fetch_and_op.
+            self.san_atomic(p, target, disp, disp + 8, true);
             let cur = u64::from_le_bytes(le8(&region[disp..disp + 8]));
             if cur == expected {
                 region[disp..disp + 8].copy_from_slice(&desired.to_le_bytes());
