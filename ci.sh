@@ -24,8 +24,8 @@
 #   build         cargo build --release --offline (workspace)
 #   test          cargo test -q --offline (workspace)
 #   mc-test       the in-tree concurrency model checker (crates/mc) over
-#                 the shipped seqlock + snapshot protocols, compiled with
-#                 the tracked-atomics facade (RUSTFLAGS=--cfg clampi_mc,
+#                 the shipped snapshot protocol and commit clock, compiled
+#                 with the tracked-atomics facade (RUSTFLAGS=--cfg clampi_mc,
 #                 own target dir target/mc). The planted-mutant fixtures
 #                 run first and gate the stage; default bounds are the
 #                 smoke preset, CLAMPI_MC_FULL=1 lifts the preemption
@@ -40,11 +40,11 @@
 #                 sanitizer armed; the suite's transient-fault and
 #                 rank-death cases put a fault plan under CLAMPI_SAN=1 in
 #                 the same pass
-#   prop-matrix   the eleven property suites under 3 fixed CLAMPI_PROP_SEED
+#   prop-matrix   the ten property suites under 3 fixed CLAMPI_PROP_SEED
 #                 values (single-case replay determinism)
-#   bench-smoke   microcosts + fig_fault_recovery + the perf-summary
-#                 sextet (fig08_overlap, fig_coherence, fig_contention,
-#                 fig_dht, fig_policy, fig_tx) under
+#   bench-smoke   microcosts + fig_fault_recovery + the five perf-summary
+#                 benches (fig08_overlap, fig_coherence, fig_dht,
+#                 fig_policy, fig_tx) under
 #                 CLAMPI_BENCH_SMOKE=1, writing results/BENCH_smoke.json
 #                 and the tracked perf summary BENCH_perf.json; every
 #                 harvested "san_diags" value must be 0
@@ -125,9 +125,9 @@ stage_test() {
 
 stage_mc_test() {
     # The concurrency model checker over the *shipped* protocol code:
-    # --cfg clampi_mc swaps the sync_shim facade from std atomics to
-    # tracked cells, so the mc_* unit tests in clampi (seqlock, snapshot)
-    # and clampi-rma (commit clock) explore the exact lines production
+    # --cfg clampi_mc swaps clampi_mc::shim from std atomics to tracked
+    # cells, so the mc_* unit tests in clampi (snapshot protocol) and
+    # clampi-rma (commit clock) explore the exact lines production
     # builds run. A separate target dir keeps the cfg'd build from
     # invalidating the normal cache.
     #
@@ -148,7 +148,7 @@ stage_mc_test() {
         cargo test -q --offline -p clampi --lib mc_
     RUSTFLAGS="--cfg clampi_mc" CARGO_TARGET_DIR=target/mc \
         cargo test -q --offline -p clampi-rma --lib mc_
-    echo "mc-test ok: mutants caught, shipped seqlock/snapshot/commit-clock clean ($bounds bounds)"
+    echo "mc-test ok: mutants caught, shipped snapshot/commit-clock clean ($bounds bounds)"
 }
 
 stage_san_test() {
@@ -209,7 +209,6 @@ stage_prop_matrix() {
         "clampi:prop_index"
         "clampi:prop_nb_equivalence"
         "clampi:prop_coherence"
-        "clampi:prop_contention"
         "clampi:prop_policy"
         "clampi:prop_snapshot"
         "clampi-apps:prop_dht"
@@ -235,12 +234,12 @@ stage_bench_smoke() {
         --bin fig_fault_recovery -- --json results/BENCH_smoke.json
     test -s results/BENCH_smoke.json
     echo "wrote results/BENCH_smoke.json"
-    echo "-- fig08_overlap + fig_coherence + fig_contention + fig_dht + fig_policy + fig_tx via run_all (smoke, perf summary)"
+    echo "-- fig08_overlap + fig_coherence + fig_dht + fig_policy + fig_tx via run_all (smoke, perf summary)"
     # run_all locates its sibling binaries next to its own executable, so
     # the whole bench package must be built first.
     cargo build -q --offline --release -p clampi-bench
     CLAMPI_BENCH_SMOKE=1 ./target/release/run_all \
-        --only fig08_overlap,fig_coherence,fig_contention,fig_dht,fig_policy,fig_tx \
+        --only fig08_overlap,fig_coherence,fig_dht,fig_policy,fig_tx \
         --json BENCH_perf.json
     test -s BENCH_perf.json
     echo "wrote BENCH_perf.json"
@@ -275,11 +274,11 @@ extract_perf() {
 }
 
 # Keys whose >2x drift only warns instead of failing the gate. The
-# fig_contention numbers and fig_dht's wall_ms are wall clock (real
-# threads on whatever machine CI happens to run on), so they are
+# wall_* keys of fig_dht, fig_policy and fig_tx are wall clock (real
+# time on whatever machine CI happens to run on), so they are
 # legitimately noisy; everything else in BENCH_perf.json is a
 # deterministic virtual-clock total and is enforced.
-PERF_WARN_ONLY_RE='^fig_contention\.|^fig_dht\.wall_|^fig_policy\.wall_|^fig_tx\.wall_'
+PERF_WARN_ONLY_RE='^fig_dht\.wall_|^fig_policy\.wall_|^fig_tx\.wall_'
 
 # Diffs two perf JSONL files key by key. Enforced keys that drift >2x
 # make the function return nonzero; allowlisted keys and keys present on

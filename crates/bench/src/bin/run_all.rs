@@ -26,7 +26,6 @@ const BINARIES: &[&str] = &[
     "fig07_access_costs",
     "fig08_overlap",
     "fig_coherence",
-    "fig_contention",
     "fig_dht",
     "fig_policy",
     "fig_tx",

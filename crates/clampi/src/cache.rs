@@ -15,16 +15,6 @@
 //!    which promotes `PENDING` entries to `CACHED` — the moment the paper
 //!    performs the deferred cache-fill copies.
 //!
-//! **Sharding.** The engine state is split into [`ShardCore`]s, one per
-//! hash stripe of the [`GetKey`] ([`GetKey::stripe`] `mod` shard count).
-//! Each shard owns an independent Cuckoo index, entry slab and storage
-//! arena, so shards never contend on each other's state. `RmaCache` keeps
-//! the paper-facing single-threaded API (with [`CacheParams::shards`]` = 1`
-//! it is bit-identical to the unsharded engine: shard 0 inherits the
-//! engine's seeds and full capacity); the concurrent front
-//! ([`crate::ShardedCache`]) wraps one `ShardCore` per stripe behind a
-//! seqlock so hits take zero write-locks.
-//!
 //! **Timing.** The simulator moves bytes eagerly (data is always available
 //! in wall-clock terms), but every management action accumulates model CPU
 //! time which the wrapper drains via [`RmaCache::take_cost`] and charges to
@@ -95,10 +85,6 @@ struct Entry {
     size: usize,
     state: EntryState,
     desc: DescId,
-    /// Byte offset of `desc`'s region in the storage buffer, cached here
-    /// so the seqlock hit path can copy payload bytes without walking the
-    /// descriptor list (which optimistic readers must never touch).
-    off: usize,
     last: u64,
     /// Target-region write version observed when this entry was filled
     /// (0 when the caller does not track versions). The coherence layer
@@ -107,16 +93,13 @@ struct Entry {
     /// Absolute lease expiry (a get sequence number) under
     /// [`VictimScheme::Lease`]; 0 means "no lease assigned" and reads as
     /// already expired, so entries inherited by a mid-run switch into the
-    /// lease policy are reclaimed first unless a hit renews them. Never
-    /// read by [`ShardCore::racy_probe`], so concurrent readers are
-    /// unaffected.
+    /// lease policy are reclaimed first unless a hit renews them.
     lease: u64,
     /// Snapshot stamp of the payload bytes (see [`crate::snapshot`]):
     /// staged by the wrapper via [`RmaCache::stage_stamp`] when it read
     /// the bytes under the region read lock, else an inexact default that
     /// forces `multi_get` to refetch. Separate from `version`, which stays
     /// the conservative pre-read peek the coherence layer was built on.
-    /// Never read by [`ShardCore::racy_probe`].
     snap: SnapStamp,
 }
 
@@ -186,21 +169,12 @@ pub struct CacheParams {
     /// (see [`crate::coherence::CoherenceMode`]). `None` by default —
     /// bit-identical to the pre-coherence behaviour.
     pub coherence: crate::coherence::CoherenceMode,
-    /// Number of independent cache shards (hash stripes of the
-    /// [`GetKey`]). `index_entries` and `storage_bytes` are divided evenly
-    /// across shards. `1` (the default) is bit-identical to the unsharded
-    /// engine; larger values matter for the concurrent front
-    /// ([`crate::ShardedCache`]), where each shard has its own lock and
-    /// sequence counter.
-    pub shards: usize,
     /// Run the policy lab ([`crate::vcache::PolicyLab`]): one tag-only
     /// shadow cache per candidate [`VictimScheme`], replaying every get
     /// and accumulating per-policy shadow hit ratios in
     /// [`CacheStats`]. Observation-only — no virtual-clock cost, no
     /// effect on the live cache — so lab-on runs are bit-identical to
     /// lab-off runs unless a controller acts on the shadow ratios.
-    /// Deterministic-engine ([`RmaCache`]) only: the concurrent front's
-    /// lock-free hit path cannot update shadows without taking writes.
     pub policy_lab: bool,
 }
 
@@ -217,129 +191,20 @@ impl Default for CacheParams {
             seed: 0xC1A3,
             max_coalesce_bytes: 16 << 10,
             coherence: crate::coherence::CoherenceMode::None,
-            shards: 1,
             policy_lab: false,
         }
     }
 }
 
-/// Derives shard `stripe`'s seed from a base seed. Stripe 0 keeps the base
-/// unchanged so a 1-shard cache reproduces the unsharded seed streams
-/// bit-for-bit; the odd multiplier decorrelates the other stripes.
-fn shard_seed(base: u64, stripe: usize) -> u64 {
-    base.wrapping_add((stripe as u64).wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// Cross-shard engine state: statistics, the get sequence counter, the
-/// running average get size and the two cost accumulators. Kept outside
-/// [`ShardCore`] so the single-threaded engine preserves the exact global
-/// counter/charge ordering of the unsharded implementation (the concurrent
-/// front instead gives every shard its own context and merges at read
-/// time).
-#[derive(Debug, Default)]
-pub(crate) struct EngineCtx {
-    pub(crate) stats: CacheStats,
-    pub(crate) seq: u64,
-    pub(crate) ags: f64,
-    pub(crate) uncharged_ns: f64,
-    pub(crate) deferred_ns: f64,
-    /// Prefix length served from cache by the most recent PartialHit
-    /// lookup (consumed by `finish_partial` for byte accounting).
-    pub(crate) last_partial_prefix: usize,
-    /// Snapshot stamp staged by [`RmaCache::stage_stamp`] for the payload
-    /// about to be handed to `finish_miss`/`finish_partial`; consumed (or
-    /// discarded, on a failed insert) by that call. `None` — the default
-    /// for every caller that does not track stamps — yields inexact
-    /// entries, which the snapshot layer simply refetches.
-    pub(crate) staged_stamp: Option<SnapStamp>,
-    /// Resident entries per target rank (grown on demand), so coherence
-    /// passes can skip targets with nothing cached in O(1).
-    pub(crate) target_counts: Vec<u32>,
-    /// The policy lab's shadow caches ([`CacheParams::policy_lab`]);
-    /// `None` when the lab is off (the default, and always for the
-    /// concurrent front's per-shard contexts).
-    pub(crate) lab: Option<PolicyLab>,
-}
-
-impl EngineCtx {
-    pub(crate) fn new() -> Self {
-        EngineCtx::default()
-    }
-
-    fn charge(&mut self, ns: f64) {
-        self.uncharged_ns += ns;
-    }
-
-    fn defer(&mut self, ns: f64) {
-        self.deferred_ns += ns;
-    }
-}
-
-/// Outcome of a bounds-checked, panic-free cache probe. `Retry` means the
-/// observed state was not servable as a clean hit or miss (torn or
-/// transient under a concurrent writer); the seqlock reader falls back to
-/// the locked path, the locked reader treats it as a miss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ProbeResult {
-    /// `dst` was filled from the cache (valid only if the shard's sequence
-    /// counter validates afterwards).
-    Hit,
-    /// No servable entry for the key at the requested length.
-    Miss,
-    /// Inconclusive: state looked mid-mutation or not directly servable.
-    Retry,
-}
-
-/// One cache shard: an independent Cuckoo index, entry slab, storage arena
-/// and the per-shard eviction state (recency index, victim-sampling RNG).
-/// All methods borrow the shared [`CacheParams`] and an [`EngineCtx`] so a
-/// single context can span shards (deterministic engine) or be per-shard
-/// (concurrent front).
-#[derive(Debug)]
-pub(crate) struct ShardCore {
-    pub(crate) index: CuckooIndex,
-    pub(crate) storage: Storage,
-    entries: Vec<Option<Entry>>,
-    spare: Vec<EntryId>,
-    pub(crate) cached_count: usize,
-    pending: Vec<EntryId>,
-    rng: SmallRng,
-    /// The shard's *live* victim policy. Starts as
-    /// [`CacheParams::victim_scheme`] and changes only through
-    /// [`ShardCore::set_policy`] — per shard, so the concurrent front can
-    /// apply a switch under each shard's existing write lock.
-    policy: VictimScheme,
-    /// The lease predictor ([`crate::lease`]), allocated when the live
-    /// policy is (or becomes) [`VictimScheme::Lease`] and kept across
-    /// invalidations/switches: learned reuse distances describe the
-    /// stream, not the resident set.
-    lease: Option<LeaseTable>,
-    /// Seed for a lazily created lease table (stripe-decorellated).
-    lease_seed: u64,
-    /// Recency index (`last` -> entry), maintained only for
-    /// [`VictimScheme::ExactLru`]. `last` values are unique: each get
-    /// touches at most one entry.
-    recency: BTreeMap<u64, EntryId>,
-    /// When set, the entry slab was preallocated and must never grow past
-    /// its capacity (the concurrent front hands out raw views of it to
-    /// optimistic readers, so a reallocating push would be a use-after-free
-    /// for them, not just a logic bug).
-    pin_slab: bool,
-    /// Residents ordered by extent start, kept iff the coherence mode is
-    /// [`CoherenceMode::EagerInvalidate`] — its surgical invalidation is
-    /// the only consumer.
-    extents: Option<ExtentIndex>,
-}
-
-/// Every resident (pending or cached) entry of a shard as
-/// `(target, disp, id)`, ordered by extent start, so an invalidation pass
-/// finds the entries overlapping a written byte range with one range
-/// query instead of an index scan.
+/// Every resident (pending or cached) entry as `(target, disp, id)`,
+/// ordered by extent start, so an invalidation pass finds the entries
+/// overlapping a written byte range with one range query instead of an
+/// index scan.
 #[derive(Debug, Default)]
 struct ExtentIndex {
     set: BTreeSet<(u32, u64, EntryId)>,
     /// Upper bound on every resident entry's size: raised on insert and
-    /// extension, lowered only when the shard empties. An entry
+    /// extension, lowered only when the cache empties. An entry
     /// overlapping `[lo, hi)` therefore starts in
     /// `[lo − max_size + 1, hi)`.
     max_size: u64,
@@ -349,880 +214,6 @@ impl ExtentIndex {
     fn clear(&mut self) {
         self.set.clear();
         self.max_size = 0;
-    }
-}
-
-impl ShardCore {
-    /// A fresh shard for hash stripe `stripe` of a `params.shards`-way
-    /// cache. With `pin_slab` the entry slab is preallocated to its
-    /// worst-case population (index capacity + the transient insert + one
-    /// spare) so it never reallocates; required by the concurrent front.
-    pub(crate) fn new(params: &CacheParams, stripe: usize, pin_slab: bool) -> Self {
-        let n = params.shards.max(1);
-        let index_cap = (params.index_entries / n).max(1);
-        let index = CuckooIndex::new(
-            index_cap,
-            params.max_insert_iters,
-            shard_seed(params.seed, stripe),
-        );
-        let storage = Storage::new(params.storage_bytes / n);
-        let rng = SmallRng::seed_from_u64(shard_seed(params.seed ^ 0x5EED, stripe));
-        let entries = if pin_slab {
-            Vec::with_capacity(index_cap + 2)
-        } else {
-            Vec::new()
-        };
-        let lease_seed = shard_seed(params.seed ^ 0x1EA5_E000, stripe);
-        let lease = (params.victim_scheme == VictimScheme::Lease)
-            .then(|| LeaseTable::new(index_cap, lease_seed));
-        ShardCore {
-            index,
-            storage,
-            entries,
-            spare: Vec::new(),
-            cached_count: 0,
-            pending: Vec::new(),
-            rng,
-            policy: params.victim_scheme,
-            lease,
-            lease_seed,
-            recency: BTreeMap::new(),
-            pin_slab,
-            extents: (params.coherence == CoherenceMode::EagerInvalidate)
-                .then(ExtentIndex::default),
-        }
-    }
-
-    /// The shard's live victim policy.
-    pub(crate) fn policy(&self) -> VictimScheme {
-        self.policy
-    }
-
-    /// Switches the live victim policy, rebuilding the policy-private
-    /// eviction state: the recency index is reconstructed from the
-    /// resident entries when switching *into* ExactLru (and dropped
-    /// otherwise), and a lease table is created on first switch into
-    /// Lease. Resident entries keep their metadata — inherited entries
-    /// have no lease (0 = expired) and are reclaimed first unless a hit
-    /// renews them. Returns whether the policy actually changed.
-    pub(crate) fn set_policy(&mut self, new: VictimScheme) -> bool {
-        if new == self.policy {
-            return false;
-        }
-        self.recency.clear();
-        if new == VictimScheme::ExactLru {
-            for (i, slot) in self.entries.iter().enumerate() {
-                if let Some(e) = slot {
-                    let prev = self.recency.insert(e.last, i as EntryId);
-                    debug_assert!(prev.is_none(), "recency key collision at {}", e.last);
-                }
-            }
-        }
-        if new == VictimScheme::Lease && self.lease.is_none() {
-            self.lease = Some(LeaseTable::new(self.index.capacity(), self.lease_seed));
-        }
-        self.policy = new;
-        true
-    }
-
-    fn entry(&self, id: EntryId) -> &Entry {
-        // xlint: allow(no-unwrap) invariant: ids are only handed out for live slots
-        self.entries[id as usize].as_ref().expect("stale entry id")
-    }
-
-    fn entry_mut(&mut self, id: EntryId) -> &mut Entry {
-        // xlint: allow(no-unwrap) invariant: ids are only handed out for live slots
-        self.entries[id as usize].as_mut().expect("stale entry id")
-    }
-
-    fn alloc_entry(&mut self, p: &CacheParams, cx: &mut EngineCtx, e: Entry) -> EntryId {
-        let t = e.key.target as usize;
-        if t >= cx.target_counts.len() {
-            cx.target_counts.resize(t + 1, 0);
-        }
-        cx.target_counts[t] += 1;
-        let (key, size) = (e.key, e.size as u64);
-        let id = if let Some(id) = self.spare.pop() {
-            self.entries[id as usize] = Some(e);
-            id
-        } else {
-            debug_assert!(
-                !self.pin_slab || self.entries.len() < self.entries.capacity(),
-                "pinned entry slab would reallocate"
-            );
-            self.entries.push(Some(e));
-            (self.entries.len() - 1) as EntryId
-        };
-        if let Some(x) = self.extents.as_mut() {
-            x.set.insert((key.target, key.disp, id));
-            x.max_size = x.max_size.max(size);
-            // An ordered-set update, priced like the storage AVL's.
-            cx.charge(p.costs.alloc_ns);
-        }
-        id
-    }
-
-    fn lru_enabled(&self) -> bool {
-        self.policy == VictimScheme::ExactLru
-    }
-
-    /// Moves `id` from recency position `old` to `new` (ExactLru only).
-    fn touch_recency(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        id: EntryId,
-        old: u64,
-        new: u64,
-    ) {
-        if self.lru_enabled() && old != new {
-            self.recency.remove(&old);
-            let prev = self.recency.insert(new, id);
-            debug_assert!(prev.is_none(), "recency key collision at {new}");
-            // The recency update is real work on every hit: the price of
-            // exact LRU the paper's sampled scheme avoids.
-            cx.charge(p.costs.insert_step_ns);
-        }
-    }
-
-    /// Used fraction of this shard's storage arena — the lease table's
-    /// feedback signal for steering the short/long mix.
-    fn storage_pressure(&self) -> f64 {
-        let cap = self.storage.capacity();
-        if cap == 0 {
-            0.0
-        } else {
-            1.0 - self.storage.free_bytes() as f64 / cap as f64
-        }
-    }
-
-    /// Under the lease policy: records this access in the reuse predictor
-    /// and assigns a fresh lease, returning the absolute expiry. Charged
-    /// like a recency update — lease maintenance is real per-access work,
-    /// the price ExactLru pays for its recency index.
-    fn assign_lease(&mut self, p: &CacheParams, cx: &mut EngineCtx, key: &GetKey) -> u64 {
-        let pressure = self.storage_pressure();
-        match self.lease.as_mut() {
-            Some(t) => {
-                cx.charge(p.costs.insert_step_ns);
-                t.observe_and_assign(key.stripe(), cx.seq, pressure)
-            }
-            None => 0,
-        }
-    }
-
-    /// Renews `id`'s lease on a hit (lease policy only).
-    fn renew_lease(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId, key: &GetKey) {
-        if self.policy != VictimScheme::Lease {
-            return;
-        }
-        let expiry = self.assign_lease(p, cx, key);
-        self.entry_mut(id).lease = expiry;
-    }
-
-    fn drop_entry(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
-        if self.lru_enabled() {
-            let last = self.entry(id).last;
-            self.recency.remove(&last);
-        }
-        // xlint: allow(no-unwrap) invariant: callers drop an id at most once
-        let e = self.entries[id as usize].take().expect("double entry drop");
-        cx.target_counts[e.key.target as usize] -= 1;
-        if let Some(x) = self.extents.as_mut() {
-            let removed = x.set.remove(&(e.key.target, e.key.disp, id));
-            debug_assert!(removed, "resident entry missing from the extent index");
-            cx.charge(p.costs.alloc_ns);
-        }
-        match e.state {
-            EntryState::Cached => self.cached_count -= 1,
-            // A PENDING entry can be dropped when a Cuckoo displacement
-            // chain leaves it homeless; forget its scheduled promotion.
-            EntryState::Pending => self.pending.retain(|&p| p != id),
-        }
-        self.spare.push(id);
-    }
-
-    /// Phase 1 of a `get_c`, shard-local (see [`RmaCache::process_lookup`]).
-    pub(crate) fn process_lookup(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        key: GetKey,
-        sig: &LayoutSig,
-        dst: &mut [u8],
-    ) -> Lookup {
-        let size = sig.size();
-        debug_assert_eq!(dst.len(), size);
-        cx.seq += 1;
-        // Cumulative mean of processed get sizes (the paper's ags).
-        cx.ags += (size as f64 - cx.ags) / cx.seq as f64;
-        cx.charge(p.costs.lookup_ns);
-        // Policy lab: replay this get through the shadow caches.
-        // Observation-only — shadow counters move, nothing else does, and
-        // no virtual-clock cost is charged (overhead is priced separately
-        // from `shadow_slot_visits` by the benches).
-        if let Some(lab) = cx.lab.as_mut() {
-            lab.observe(key.stripe(), size, cx.seq, cx.ags, &mut cx.stats);
-        }
-
-        let Some(id) = self.index.lookup(&key) else {
-            return Lookup::Miss;
-        };
-        debug_assert_eq!(self.entry(id).key, key, "index returned a foreign entry");
-        let seq = cx.seq;
-        let (full, cached_len) = {
-            let e = self.entry(id);
-            match (&e.sig, sig) {
-                (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
-                    if want <= have {
-                        (true, *want)
-                    } else if e.state == EntryState::Cached {
-                        (false, *have)
-                    } else {
-                        // Partial hit on a PENDING entry: nothing servable
-                        // yet (its fill is deferred to the epoch close).
-                        (false, 0)
-                    }
-                }
-                (LayoutSig::Blocks(have), LayoutSig::Blocks(want)) if have == want => (true, size),
-                _ => (false, 0),
-            }
-        };
-
-        if full {
-            let state = self.entry(id).state;
-            let desc = self.entry(id).desc;
-            let old_last = self.entry(id).last;
-            dst.copy_from_slice(self.storage.read(desc, size));
-            self.entry_mut(id).last = seq;
-            self.touch_recency(p, cx, id, old_last, seq);
-            self.renew_lease(p, cx, id, &key);
-            let copy = p.costs.memcpy_cost(size);
-            match state {
-                // CACHED: the copy happens right now.
-                EntryState::Cached => cx.charge(copy),
-                // PENDING: the paper copies at the epoch closure.
-                EntryState::Pending => cx.defer(copy),
-            }
-            cx.stats.record(AccessType::Hit);
-            cx.stats.bytes_from_cache += size as u64;
-            Lookup::Hit
-        } else {
-            if cached_len > 0 {
-                let desc = self.entry(id).desc;
-                dst[..cached_len].copy_from_slice(self.storage.read(desc, cached_len));
-                let copy = p.costs.memcpy_cost(cached_len);
-                cx.charge(copy);
-                cx.stats.bytes_from_cache += cached_len as u64;
-            }
-            let old_last = self.entry(id).last;
-            self.entry_mut(id).last = seq;
-            self.touch_recency(p, cx, id, old_last, seq);
-            self.renew_lease(p, cx, id, &key);
-            cx.stats.partial_hits += 1;
-            cx.last_partial_prefix = cached_len;
-            Lookup::PartialHit { cached_len }
-        }
-    }
-
-    /// Phase 2 after a miss, shard-local (see [`RmaCache::finish_miss`]).
-    pub(crate) fn finish_miss(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        key: GetKey,
-        sig: LayoutSig,
-        data: &[u8],
-        version: u64,
-    ) -> AccessType {
-        let size = sig.size();
-        debug_assert_eq!(data.len(), size);
-        cx.stats.bytes_from_network += size as u64;
-        // Lease policy: the miss is an access too — record it in the
-        // reuse predictor (distances across evictions are exactly what
-        // the histogram needs) and lease the new entry up front.
-        let lease = if self.policy == VictimScheme::Lease {
-            self.assign_lease(p, cx, &key)
-        } else {
-            0
-        };
-        let snap = cx.staged_stamp.take().unwrap_or(SnapStamp {
-            version,
-            ts: 0,
-            exact: false,
-        });
-        let id = self.alloc_entry(
-            p,
-            cx,
-            Entry {
-                key,
-                sig,
-                size,
-                state: EntryState::Pending,
-                desc: NO_DESC,
-                off: 0,
-                last: cx.seq,
-                version,
-                lease,
-                snap,
-            },
-        );
-
-        let (inserted, conflicted) = self.insert_with_path_eviction(p, cx, key, id);
-        if !inserted {
-            self.drop_entry(p, cx, id);
-            cx.stats.record(AccessType::Failed);
-            return AccessType::Failed;
-        }
-
-        let (desc, evicted_for_space) = self.alloc_with_eviction(p, cx, size, id, None);
-        let class = match desc {
-            Some(d) => {
-                self.storage.write(d, data);
-                let off = self.storage.offset(d);
-                {
-                    let e = self.entry_mut(id);
-                    e.desc = d;
-                    e.off = off;
-                }
-                self.pending.push(id);
-                if self.lru_enabled() {
-                    let last = self.entry(id).last;
-                    let prev = self.recency.insert(last, id);
-                    debug_assert!(prev.is_none(), "recency key collision at {last}");
-                }
-                let copy = p.costs.memcpy_cost(size);
-                cx.defer(copy);
-                if conflicted {
-                    AccessType::Conflicting
-                } else if evicted_for_space {
-                    AccessType::Capacity
-                } else {
-                    AccessType::Direct
-                }
-            }
-            None => {
-                // Weak caching: give up, the get itself already succeeded.
-                self.index.remove(&key);
-                self.drop_entry(p, cx, id);
-                AccessType::Failed
-            }
-        };
-        cx.stats.record(class);
-        class
-    }
-
-    /// Phase 2 after a partial hit, shard-local (see
-    /// [`RmaCache::finish_partial`]).
-    pub(crate) fn finish_partial(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        key: GetKey,
-        sig: LayoutSig,
-        data: &[u8],
-        version: u64,
-    ) -> AccessType {
-        let size = sig.size();
-        debug_assert_eq!(data.len(), size);
-        let Some(id) = self.index.lookup(&key) else {
-            // The entry vanished (should not happen between phases). The
-            // staged stamp, if any, rides along into the miss path.
-            return self.finish_miss(p, cx, key, sig, data, version);
-        };
-        // Taken unconditionally so a failed extension cannot leak this
-        // call's stamp into a later, unrelated finish.
-        let staged = cx.staged_stamp.take();
-        // The wrapper fetched everything beyond the served prefix (which is
-        // zero for incompatible layouts).
-        cx.stats.bytes_from_network += (size as u64).saturating_sub(cx.last_partial_prefix as u64);
-        cx.last_partial_prefix = 0;
-
-        if self.entry(id).state == EntryState::Pending {
-            // Cannot touch a pending entry's storage; leave it as-is.
-            cx.stats.record(AccessType::Failed);
-            return AccessType::Failed;
-        }
-
-        // Allocate the larger region first so failure leaves the old entry
-        // intact; exclude the entry itself from victim selection.
-        let (desc, evicted_for_space) = self.alloc_with_eviction(p, cx, size, id, Some(id));
-        let class = match desc {
-            Some(d) => {
-                let old = self.entry(id).desc;
-                self.storage.free(old);
-                cx.charge(p.costs.alloc_ns);
-                self.storage.write(d, data);
-                let off = self.storage.offset(d);
-                {
-                    let e = self.entry_mut(id);
-                    e.desc = d;
-                    e.off = off;
-                    e.size = size;
-                    e.sig = sig;
-                    e.state = EntryState::Pending;
-                    e.version = e.version.min(version);
-                    // Head bytes carry the old entry's stamp, tail bytes
-                    // the staged one; the mix is exact only when both are
-                    // exact at the *same* version (no write in between).
-                    e.snap = match staged {
-                        Some(s) if s.exact && e.snap.exact && s.version == e.snap.version => s,
-                        Some(s) => SnapStamp {
-                            version: e.snap.version.min(s.version),
-                            ts: e.snap.ts.min(s.ts),
-                            exact: false,
-                        },
-                        None => SnapStamp {
-                            version: e.snap.version.min(version),
-                            ts: 0,
-                            exact: false,
-                        },
-                    };
-                }
-                if let Some(x) = self.extents.as_mut() {
-                    x.max_size = x.max_size.max(size as u64);
-                }
-                self.cached_count -= 1;
-                self.pending.push(id);
-                let copy = p.costs.memcpy_cost(size);
-                cx.defer(copy);
-                if evicted_for_space {
-                    AccessType::Capacity
-                } else {
-                    AccessType::Direct
-                }
-            }
-            None => AccessType::Failed,
-        };
-        cx.stats.record(class);
-        class
-    }
-
-    /// Cuckoo insertion with the paper's conflicting-access handling: a
-    /// cycle evicts the lowest-score CACHED entry on the insertion path and
-    /// retries. Returns `(inserted, conflicted)`.
-    fn insert_with_path_eviction(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        key: GetKey,
-        id: EntryId,
-    ) -> (bool, bool) {
-        const MAX_RETRIES: usize = 4;
-        let mut conflicted = false;
-        let mut cur = (key, id);
-        for attempt in 0..MAX_RETRIES {
-            match self.index.insert(cur.0, cur.1) {
-                InsertOutcome::Placed { steps } => {
-                    cx.charge(p.costs.insert_step_ns * (steps + 1) as f64);
-                    return (true, conflicted);
-                }
-                InsertOutcome::Cycle { homeless, path } => {
-                    conflicted = true;
-                    cx.charge(p.costs.insert_step_ns * path.len() as f64);
-                    if attempt + 1 == MAX_RETRIES {
-                        return self.resolve_homeless(p, cx, homeless, id, conflicted);
-                    }
-                    // Victim: lowest score among CACHED entries on the path.
-                    let mut best: Option<(usize, EntryId, f64)> = None;
-                    for &slot in &path {
-                        if let Some((_k, eid)) = self.index.slot(slot) {
-                            if eid == id {
-                                continue;
-                            }
-                            let e = self.entry(eid);
-                            if e.state != EntryState::Cached {
-                                continue;
-                            }
-                            let s = self.entry_score(p, cx, eid);
-                            if best.is_none_or(|(_, _, bs)| s < bs) {
-                                best = Some((slot, eid, s));
-                            }
-                        }
-                    }
-                    match best {
-                        Some((slot, victim, _)) => {
-                            self.evict_resident(p, cx, slot, victim);
-                            cur = homeless;
-                        }
-                        None => {
-                            return self.resolve_homeless(p, cx, homeless, id, conflicted);
-                        }
-                    }
-                }
-            }
-        }
-        unreachable!("loop returns on the last attempt")
-    }
-
-    fn resolve_homeless(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        homeless: (GetKey, EntryId),
-        new_id: EntryId,
-        conflicted: bool,
-    ) -> (bool, bool) {
-        if homeless.1 == new_id {
-            // The new entry itself could not be placed; nothing to undo.
-            (false, conflicted)
-        } else {
-            // The new key is placed; the displaced resident is dropped
-            // (it lost its slot and path eviction found no better victim).
-            self.free_entry_storage(p, cx, homeless.1);
-            self.drop_entry(p, cx, homeless.1);
-            (true, conflicted)
-        }
-    }
-
-    fn free_entry_storage(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
-        let desc = self.entry(id).desc;
-        if desc != NO_DESC {
-            self.storage.free(desc);
-            cx.charge(p.costs.alloc_ns);
-        }
-    }
-
-    fn entry_score(&self, _p: &CacheParams, cx: &EngineCtx, id: EntryId) -> f64 {
-        let e = self.entry(id);
-        if self.policy == VictimScheme::Lease {
-            // Remaining lease under the get-sequence clock: expired
-            // entries go negative and are reclaimed most-expired-first;
-            // unexpired ones fall back to least-lease-left. Used on both
-            // the capacity and the conflicting (Cuckoo path) victim
-            // scans, so one comparison rule governs all lease evictions.
-            return e.lease as f64 - cx.seq as f64;
-        }
-        let r_t = temporal_score(e.last, cx.seq);
-        let r_p = positional_score(cx.ags, self.storage.adjacent_free(e.desc));
-        score(self.policy, r_p, r_t)
-    }
-
-    /// Removes a resident entry found at `slot` and releases its storage.
-    fn evict_resident(&mut self, p: &CacheParams, cx: &mut EngineCtx, slot: usize, id: EntryId) {
-        let removed = self.index.remove_slot(slot);
-        debug_assert!(matches!(removed, Some((_, e)) if e == id));
-        self.release_evicted(p, cx, id);
-    }
-
-    /// Second half of an eviction, once `id` has left the index: counts
-    /// an expired lease, releases the storage, drops the entry.
-    fn release_evicted(&mut self, p: &CacheParams, cx: &mut EngineCtx, id: EntryId) {
-        if self.policy == VictimScheme::Lease && self.entry(id).lease <= cx.seq {
-            cx.stats.lease_expiries += 1;
-        }
-        self.free_entry_storage(p, cx, id);
-        self.drop_entry(p, cx, id);
-    }
-
-    /// Best-fit allocation with up to `max_evictions_per_miss`
-    /// capacity-eviction attempts on failure (1 = the paper's weak
-    /// caching).
-    fn alloc_with_eviction(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        size: usize,
-        id: EntryId,
-        exclude: Option<EntryId>,
-    ) -> (Option<DescId>, bool) {
-        cx.charge(p.costs.alloc_ns);
-        if let Some(d) = self.storage.alloc(size, id) {
-            return (Some(d), false);
-        }
-        let budget = p.max_evictions_per_miss.max(1);
-        for _ in 0..budget {
-            if !self.run_capacity_eviction(p, cx, exclude) {
-                return (None, true);
-            }
-            cx.charge(p.costs.alloc_ns);
-            if let Some(d) = self.storage.alloc(size, id) {
-                return (Some(d), true);
-            }
-        }
-        (None, true)
-    }
-
-    /// The sampled victim selection of Sec. III-D: scan at least `M`
-    /// consecutive index slots from a random start (continuing until a
-    /// candidate appears), evict the lowest-score CACHED entry.
-    fn run_capacity_eviction(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        exclude: Option<EntryId>,
-    ) -> bool {
-        if self.lru_enabled() {
-            return self.run_exact_lru_eviction(p, cx, exclude);
-        }
-        let cap = self.index.capacity();
-        let start = self.rng.gen_range(0..cap);
-        let m = p.sample_size.max(1);
-        let mut visited = 0usize;
-        let mut nonempty = 0u64;
-        let mut best: Option<(usize, EntryId, f64)> = None;
-        while visited < cap {
-            let pos = (start + visited) % cap;
-            visited += 1;
-            if let Some((_k, eid)) = self.index.slot(pos) {
-                nonempty += 1;
-                let evictable = Some(eid) != exclude && self.entry(eid).state == EntryState::Cached;
-                if evictable {
-                    let s = self.entry_score(p, cx, eid);
-                    if best.is_none_or(|(_, _, bs)| s < bs) {
-                        best = Some((pos, eid, s));
-                    }
-                }
-            }
-            if visited >= m && best.is_some() {
-                break;
-            }
-        }
-        cx.stats.evictions += 1;
-        cx.stats.visited_slots += visited as u64;
-        cx.stats.visited_nonempty += nonempty;
-        cx.charge(p.costs.evict_visit_ns * visited as f64);
-        match best {
-            Some((slot, victim, _)) => {
-                self.evict_resident(p, cx, slot, victim);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Exact-LRU capacity eviction: walk the recency index oldest-first
-    /// and evict the first CACHED (non-excluded) entry.
-    fn run_exact_lru_eviction(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        exclude: Option<EntryId>,
-    ) -> bool {
-        let mut victim = None;
-        let mut visited = 0u64;
-        for (_, &id) in self.recency.iter() {
-            visited += 1;
-            if Some(id) != exclude && self.entry(id).state == EntryState::Cached {
-                victim = Some(id);
-                break;
-            }
-        }
-        cx.stats.evictions += 1;
-        cx.stats.visited_slots += visited;
-        cx.stats.visited_nonempty += visited;
-        cx.charge(p.costs.evict_visit_ns * visited as f64);
-        match victim {
-            Some(id) => {
-                let key = self.entry(id).key;
-                let removed = self.index.remove(&key);
-                debug_assert_eq!(removed, Some(id));
-                self.free_entry_storage(p, cx, id);
-                self.drop_entry(p, cx, id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Promotes every PENDING entry to CACHED (the per-shard half of the
-    /// epoch-closure hook; cost charging stays with the caller).
-    pub(crate) fn promote_pending(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        for id in pending {
-            // An entry may have been evicted while pending? No: pending
-            // entries are excluded from eviction, so it must still exist.
-            let e = self.entry_mut(id);
-            debug_assert_eq!(e.state, EntryState::Pending);
-            e.state = EntryState::Cached;
-            self.cached_count += 1;
-        }
-    }
-
-    /// Removes `key`'s resident entry if present, releasing its storage.
-    /// The concurrent front uses this to refresh an entry in place (its
-    /// Cuckoo index forbids duplicate keys).
-    pub(crate) fn remove_key(&mut self, p: &CacheParams, cx: &mut EngineCtx, key: &GetKey) -> bool {
-        match self.index.remove(key) {
-            Some(id) => {
-                self.free_entry_storage(p, cx, id);
-                self.drop_entry(p, cx, id);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Shard-local half of [`RmaCache::invalidate_range`].
-    pub(crate) fn invalidate_range(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        target: u32,
-        lo: u64,
-        hi: u64,
-    ) -> usize {
-        let cap = self.index.capacity();
-        cx.charge(p.costs.evict_visit_ns * cap as f64);
-        let mut victims = Vec::new();
-        for slot in 0..cap {
-            if let Some((key, id)) = self.index.slot(slot) {
-                if key.target != target {
-                    continue;
-                }
-                let e = self.entry(id);
-                let e_lo = key.disp;
-                let e_hi = key.disp + e.size as u64;
-                if e_lo < hi && lo < e_hi {
-                    victims.push((slot, id));
-                }
-            }
-        }
-        let dropped = victims.len();
-        for (slot, id) in victims {
-            self.evict_resident(p, cx, slot, id);
-        }
-        dropped
-    }
-
-    /// Shard-local half of [`RmaCache::invalidate_target_stale`].
-    pub(crate) fn invalidate_target_stale(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        target: u32,
-        version: u64,
-    ) -> usize {
-        let cap = self.index.capacity();
-        cx.charge(p.costs.evict_visit_ns * cap as f64);
-        let mut victims = Vec::new();
-        for slot in 0..cap {
-            if let Some((key, id)) = self.index.slot(slot) {
-                if key.target == target && self.entry(id).version != version {
-                    victims.push((slot, id));
-                }
-            }
-        }
-        let dropped = victims.len();
-        for (slot, id) in victims {
-            self.evict_resident(p, cx, slot, id);
-        }
-        dropped
-    }
-
-    /// Shard-local half of [`RmaCache::invalidate_overlapping_stale`]:
-    /// one extent-index range query per record. Priced as one lookup per
-    /// record plus one victim-scan visit per candidate entry examined, so
-    /// a pass costs O(records · log n), independent of `|I_w|`.
-    pub(crate) fn invalidate_overlapping_stale(
-        &mut self,
-        p: &CacheParams,
-        cx: &mut EngineCtx,
-        target: u32,
-        ranges: &[(u64, u64, u64)],
-    ) -> usize {
-        let Some(x) = self.extents.as_ref() else {
-            unreachable!("invalidate_overlapping_stale needs CoherenceMode::EagerInvalidate")
-        };
-        let reach = x.max_size.saturating_sub(1);
-        let mut visited = 0u64;
-        let mut victims: Vec<(u64, EntryId)> = Vec::new();
-        for &(lo, hi, v) in ranges {
-            let from = (target, lo.saturating_sub(reach), 0);
-            for &(_, disp, id) in x.set.range(from..(target, hi, 0)) {
-                visited += 1;
-                let e = self.entry(id);
-                if lo < disp + e.size as u64 && e.version < v {
-                    victims.push((disp, id));
-                }
-            }
-        }
-        cx.charge(
-            p.costs.lookup_ns * ranges.len() as f64 + p.costs.evict_visit_ns * visited as f64,
-        );
-        // An entry overlapped by several records is a victim once.
-        victims.sort_unstable();
-        victims.dedup();
-        for &(_, id) in &victims {
-            let key = self.entry(id).key;
-            let removed = self.index.remove(&key);
-            debug_assert_eq!(removed, Some(id));
-            self.release_evicted(p, cx, id);
-        }
-        victims.len()
-    }
-
-    /// Drops every resident entry, resetting index, storage and slab. The
-    /// recency index is cleared too: after the slab resets, stale recency
-    /// ids would alias re-issued entry ids and corrupt ExactLru victim
-    /// order.
-    pub(crate) fn clear_all(&mut self) {
-        self.index.clear();
-        self.storage.clear();
-        self.entries.clear();
-        self.spare.clear();
-        self.pending.clear();
-        self.recency.clear();
-        self.cached_count = 0;
-        if let Some(x) = self.extents.as_mut() {
-            x.clear();
-        }
-    }
-
-    /// Replaces the index (reseeded from `seed_base`) and storage for an
-    /// adaptive resize, clearing all residents. Keeps the victim-sampling
-    /// RNG stream, exactly like the unsharded engine's resize did.
-    fn rebuild(&mut self, params: &CacheParams, stripe: usize, seed_base: u64) {
-        let n = params.shards.max(1);
-        self.index = CuckooIndex::new(
-            (params.index_entries / n).max(1),
-            params.max_insert_iters,
-            shard_seed(seed_base, stripe),
-        );
-        self.storage = Storage::new(params.storage_bytes / n);
-        self.entries.clear();
-        self.spare.clear();
-        self.pending.clear();
-        self.recency.clear();
-        self.cached_count = 0;
-        if let Some(x) = self.extents.as_mut() {
-            x.clear();
-        }
-    }
-
-    /// Bounds-checked, panic-free probe for the concurrent hit path. Safe
-    /// to call on state that a writer is mutating concurrently (a
-    /// *seqlock racy read*): every access is bounds-checked, payload bytes
-    /// are copied via the cached region offset (never through the
-    /// descriptor list, whose links a writer may be rewiring), and any
-    /// state that looks mid-mutation yields [`ProbeResult::Retry`]. A torn
-    /// read can still produce a wrong `Hit`/`Miss` — the caller MUST
-    /// validate the shard's sequence counter afterwards and discard the
-    /// result on mismatch.
-    pub(crate) fn racy_probe(&self, key: &GetKey, dst: &mut [u8]) -> ProbeResult {
-        let Some(id) = self.index.lookup(key) else {
-            return ProbeResult::Miss;
-        };
-        let Some(Some(e)) = self.entries.get(id as usize) else {
-            return ProbeResult::Retry;
-        };
-        if e.key != *key || e.state != EntryState::Cached || e.desc == NO_DESC {
-            return ProbeResult::Retry;
-        }
-        let have = match &e.sig {
-            LayoutSig::Contig(n) => *n,
-            LayoutSig::Blocks(_) => return ProbeResult::Retry,
-        };
-        if dst.len() > have {
-            return ProbeResult::Miss;
-        }
-        match self.storage.bytes_at(e.off, dst.len()) {
-            Some(src) => {
-                dst.copy_from_slice(src);
-                ProbeResult::Hit
-            }
-            None => ProbeResult::Retry,
-        }
     }
 }
 
@@ -1253,9 +244,52 @@ impl ShardCore {
 /// ```
 #[derive(Debug)]
 pub struct RmaCache {
+    /// The parameters; `params.victim_scheme` is the *live* victim policy
+    /// and changes only through [`RmaCache::set_victim_scheme`].
     params: CacheParams,
-    shards: Vec<ShardCore>,
-    cx: EngineCtx,
+    index: CuckooIndex,
+    storage: Storage,
+    entries: Vec<Option<Entry>>,
+    spare: Vec<EntryId>,
+    cached_count: usize,
+    pending: Vec<EntryId>,
+    /// Victim-sampling RNG.
+    rng: SmallRng,
+    /// The lease predictor ([`crate::lease`]), allocated when the live
+    /// policy is (or becomes) [`VictimScheme::Lease`] and kept across
+    /// invalidations/switches: learned reuse distances describe the
+    /// stream, not the resident set.
+    lease: Option<LeaseTable>,
+    /// Recency index (`last` -> entry), maintained only for
+    /// [`VictimScheme::ExactLru`]. `last` values are unique: each get
+    /// touches at most one entry.
+    recency: BTreeMap<u64, EntryId>,
+    /// Residents ordered by extent start, kept iff the coherence mode is
+    /// [`CoherenceMode::EagerInvalidate`] — its surgical invalidation is
+    /// the only consumer.
+    extents: Option<ExtentIndex>,
+    stats: CacheStats,
+    /// The get sequence counter (index into the paper's `C_w.G`).
+    seq: u64,
+    /// The running average get size `C_w.ags`.
+    ags: f64,
+    uncharged_ns: f64,
+    deferred_ns: f64,
+    /// Prefix length served from cache by the most recent PartialHit
+    /// lookup (consumed by `finish_partial` for byte accounting).
+    last_partial_prefix: usize,
+    /// Snapshot stamp staged by [`RmaCache::stage_stamp`] for the payload
+    /// about to be handed to `finish_miss`/`finish_partial`; consumed (or
+    /// discarded, on a failed insert) by that call. `None` — the default
+    /// for every caller that does not track stamps — yields inexact
+    /// entries, which the snapshot layer simply refetches.
+    staged_stamp: Option<SnapStamp>,
+    /// Resident entries per target rank (grown on demand), so coherence
+    /// passes can skip targets with nothing cached in O(1).
+    target_counts: Vec<u32>,
+    /// The policy lab's shadow caches ([`CacheParams::policy_lab`]);
+    /// `None` when the lab is off (the default).
+    lab: Option<PolicyLab>,
     rebuilds: u64,
     resize_log: Vec<ResizeEvent>,
 }
@@ -1274,20 +308,42 @@ pub struct ResizeEvent {
 impl RmaCache {
     /// A fresh cache with the given parameters.
     pub fn new(params: CacheParams) -> Self {
-        let n = params.shards.max(1);
-        let shards = (0..n).map(|s| ShardCore::new(&params, s, false)).collect();
-        let mut cx = EngineCtx::new();
-        if params.policy_lab {
-            cx.lab = Some(PolicyLab::new(
+        let index_cap = params.index_entries.max(1);
+        let lease = (params.victim_scheme == VictimScheme::Lease)
+            .then(|| LeaseTable::new(index_cap, lease_seed(&params)));
+        let lab = params.policy_lab.then(|| {
+            PolicyLab::new(
                 params.index_entries,
                 params.storage_bytes,
                 params.sample_size,
                 params.seed,
-            ));
-        }
+            )
+        });
         RmaCache {
-            shards,
-            cx,
+            index: CuckooIndex::new(index_cap, params.max_insert_iters, params.seed),
+            storage: Storage::new(params.storage_bytes),
+            // Sized once for the worst-case population (every index slot
+            // plus the one transient insert), so the slab never grows by
+            // doubling: each doubling copies it and can leave the old copy
+            // resident in the allocator's pools.
+            entries: Vec::with_capacity(index_cap + 1),
+            spare: Vec::new(),
+            cached_count: 0,
+            pending: Vec::new(),
+            rng: SmallRng::seed_from_u64(params.seed ^ 0x5EED),
+            lease,
+            recency: BTreeMap::new(),
+            extents: (params.coherence == CoherenceMode::EagerInvalidate)
+                .then(ExtentIndex::default),
+            stats: CacheStats::default(),
+            seq: 0,
+            ags: 0.0,
+            uncharged_ns: 0.0,
+            deferred_ns: 0.0,
+            last_partial_prefix: 0,
+            staged_stamp: None,
+            target_counts: Vec::new(),
+            lab,
             rebuilds: 0,
             resize_log: Vec::new(),
             params,
@@ -1301,7 +357,7 @@ impl RmaCache {
 
     /// Switches the live eviction policy without dropping residents.
     ///
-    /// Per-shard bookkeeping is rebuilt as needed (ExactLru's recency
+    /// Policy-private bookkeeping is rebuilt as needed (ExactLru's recency
     /// index is reconstructed from resident `last` stamps; a switch into
     /// Lease lazily builds the reuse predictor). Entries inherited by a
     /// switch into Lease carry `lease == 0` (already expired), so they are
@@ -1309,17 +365,27 @@ impl RmaCache {
     /// conservative handoff. Returns `true` if the policy actually
     /// changed; no-op switches cost nothing and are not counted.
     pub fn set_victim_scheme(&mut self, new: VictimScheme) -> bool {
-        let mut changed = false;
-        for sh in &mut self.shards {
-            changed |= sh.set_policy(new);
+        if new == self.params.victim_scheme {
+            return false;
         }
-        if changed {
-            self.params.victim_scheme = new;
-            self.cx.stats.policy_switches += 1;
-            self.cx.stats.adjustments += 1;
-            self.cx.charge(self.params.costs.epoch_hook_ns);
+        self.recency.clear();
+        if new == VictimScheme::ExactLru {
+            for (i, slot) in self.entries.iter().enumerate() {
+                if let Some(e) = slot {
+                    let prev = self.recency.insert(e.last, i as EntryId);
+                    debug_assert!(prev.is_none(), "recency key collision at {}", e.last);
+                }
+            }
         }
-        changed
+        if new == VictimScheme::Lease && self.lease.is_none() {
+            let seed = lease_seed(&self.params);
+            self.lease = Some(LeaseTable::new(self.index.capacity(), seed));
+        }
+        self.params.victim_scheme = new;
+        self.stats.policy_switches += 1;
+        self.stats.adjustments += 1;
+        self.charge(self.params.costs.epoch_hook_ns);
+        true
     }
 
     /// Current parameters.
@@ -1329,62 +395,55 @@ impl RmaCache {
 
     /// Statistics so far.
     pub fn stats(&self) -> &CacheStats {
-        &self.cx.stats
+        &self.stats
     }
 
     /// The get sequence counter (index into the paper's `C_w.G`).
     pub fn seq(&self) -> u64 {
-        self.cx.seq
+        self.seq
     }
 
     /// The running average get size `C_w.ags`.
     pub fn avg_get_size(&self) -> f64 {
-        self.cx.ags
+        self.ags
     }
 
     /// Occupied fraction of the storage buffer (Fig. 10's y-axis).
     pub fn occupancy(&self) -> f64 {
-        let capacity: usize = self.shards.iter().map(|s| s.storage.capacity()).sum();
+        let capacity = self.storage.capacity();
         if capacity == 0 {
             0.0
         } else {
-            let occupied: usize = self.shards.iter().map(|s| s.storage.occupied_bytes()).sum();
-            occupied as f64 / capacity as f64
+            self.storage.occupied_bytes() as f64 / capacity as f64
         }
     }
 
     /// Free bytes in the storage buffer.
     pub fn free_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.storage.free_bytes()).sum()
+        self.storage.free_bytes()
     }
 
     /// Number of resident (pending + cached) entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.index.len()).sum()
+        self.index.len()
     }
 
     /// Whether no entry is resident.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.index.is_empty())
+        self.index.is_empty()
     }
 
     /// Drains the accumulated management CPU time (nanoseconds) so the
     /// wrapper can charge it to the rank's virtual clock.
     pub fn take_cost(&mut self) -> f64 {
-        std::mem::take(&mut self.cx.uncharged_ns)
-    }
-
-    /// The shard responsible for `key` (`stripe mod shards`).
-    fn shard_idx(&self, key: &GetKey) -> usize {
-        (key.stripe() % self.shards.len() as u64) as usize
+        std::mem::take(&mut self.uncharged_ns)
     }
 
     /// Whether any resident (pending or cached) entry is keyed to
     /// `target`. O(1): lets a coherence pass skip targets with nothing
     /// cached without scanning the index.
     pub fn has_entries_for(&self, target: u32) -> bool {
-        self.cx
-            .target_counts
+        self.target_counts
             .get(target as usize)
             .is_some_and(|&c| c > 0)
     }
@@ -1394,29 +453,94 @@ impl RmaCache {
     ///
     /// `dst.len()` must equal `sig.size()`.
     pub fn process_lookup(&mut self, key: GetKey, sig: &LayoutSig, dst: &mut [u8]) -> Lookup {
-        let i = self.shard_idx(&key);
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards[i].process_lookup(params, cx, key, sig, dst)
+        let size = sig.size();
+        debug_assert_eq!(dst.len(), size);
+        self.seq += 1;
+        // Cumulative mean of processed get sizes (the paper's ags).
+        self.ags += (size as f64 - self.ags) / self.seq as f64;
+        self.charge(self.params.costs.lookup_ns);
+        // Policy lab: replay this get through the shadow caches.
+        // Observation-only — shadow counters move, nothing else does, and
+        // no virtual-clock cost is charged (overhead is priced separately
+        // from `shadow_slot_visits` by the benches).
+        if let Some(lab) = self.lab.as_mut() {
+            lab.observe(key.stripe(), size, self.seq, self.ags, &mut self.stats);
+        }
+
+        let Some(id) = self.index.lookup(&key) else {
+            return Lookup::Miss;
+        };
+        debug_assert_eq!(self.entry(id).key, key, "index returned a foreign entry");
+        let seq = self.seq;
+        let (full, cached_len) = {
+            let e = self.entry(id);
+            match (&e.sig, sig) {
+                (LayoutSig::Contig(have), LayoutSig::Contig(want)) => {
+                    if want <= have {
+                        (true, *want)
+                    } else if e.state == EntryState::Cached {
+                        (false, *have)
+                    } else {
+                        // Partial hit on a PENDING entry: nothing servable
+                        // yet (its fill is deferred to the epoch close).
+                        (false, 0)
+                    }
+                }
+                (LayoutSig::Blocks(have), LayoutSig::Blocks(want)) if have == want => (true, size),
+                _ => (false, 0),
+            }
+        };
+
+        if full {
+            let state = self.entry(id).state;
+            let desc = self.entry(id).desc;
+            let old_last = self.entry(id).last;
+            dst.copy_from_slice(self.storage.read(desc, size));
+            self.entry_mut(id).last = seq;
+            self.touch_recency(id, old_last, seq);
+            self.renew_lease(id, &key);
+            let copy = self.params.costs.memcpy_cost(size);
+            match state {
+                // CACHED: the copy happens right now.
+                EntryState::Cached => self.charge(copy),
+                // PENDING: the paper copies at the epoch closure.
+                EntryState::Pending => self.defer(copy),
+            }
+            self.stats.record(AccessType::Hit);
+            self.stats.bytes_from_cache += size as u64;
+            Lookup::Hit
+        } else {
+            if cached_len > 0 {
+                let desc = self.entry(id).desc;
+                dst[..cached_len].copy_from_slice(self.storage.read(desc, cached_len));
+                let copy = self.params.costs.memcpy_cost(cached_len);
+                self.charge(copy);
+                self.stats.bytes_from_cache += cached_len as u64;
+            }
+            let old_last = self.entry(id).last;
+            self.entry_mut(id).last = seq;
+            self.touch_recency(id, old_last, seq);
+            self.renew_lease(id, &key);
+            self.stats.partial_hits += 1;
+            self.last_partial_prefix = cached_len;
+            Lookup::PartialHit { cached_len }
+        }
     }
 
     /// Stages the snapshot stamp for the payload about to be handed to
     /// the next [`RmaCache::finish_miss`] / [`RmaCache::finish_partial`]
     /// call, which consumes it (or discards it on failure). Callers that
     /// never stage get inexact entries, which the snapshot layer refetches
-    /// — so stamp-blind paths (traces, the concurrent front's insert)
-    /// stay correct without changes.
+    /// — so stamp-blind paths (traces) stay correct without changes.
     pub fn stage_stamp(&mut self, stamp: SnapStamp) {
-        self.cx.staged_stamp = Some(stamp);
+        self.staged_stamp = Some(stamp);
     }
 
     /// Read-only probe of the snapshot stamp of the resident entry for
     /// `key` (`None` when nothing is resident). Free in virtual time,
     /// like the index peek it is.
     pub fn snap_stamp(&self, key: &GetKey) -> Option<SnapStamp> {
-        let sh = &self.shards[self.shard_idx(key)];
-        sh.index.lookup(key).map(|id| sh.entry(id).snap)
+        self.index.lookup(key).map(|id| self.entry(id).snap)
     }
 
     /// Phase 2 after a [`Lookup::Miss`]: `data` is the fetched payload;
@@ -1432,11 +556,71 @@ impl RmaCache {
         data: &[u8],
         version: u64,
     ) -> AccessType {
-        let i = self.shard_idx(&key);
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards[i].finish_miss(params, cx, key, sig, data, version)
+        let size = sig.size();
+        debug_assert_eq!(data.len(), size);
+        self.stats.bytes_from_network += size as u64;
+        // Lease policy: the miss is an access too — record it in the
+        // reuse predictor (distances across evictions are exactly what
+        // the histogram needs) and lease the new entry up front.
+        let lease = if self.params.victim_scheme == VictimScheme::Lease {
+            self.assign_lease(&key)
+        } else {
+            0
+        };
+        let snap = self.staged_stamp.take().unwrap_or(SnapStamp {
+            version,
+            ts: 0,
+            exact: false,
+        });
+        let id = self.alloc_entry(Entry {
+            key,
+            sig,
+            size,
+            state: EntryState::Pending,
+            desc: NO_DESC,
+            last: self.seq,
+            version,
+            lease,
+            snap,
+        });
+
+        let (inserted, conflicted) = self.insert_with_path_eviction(key, id);
+        if !inserted {
+            self.drop_entry(id);
+            self.stats.record(AccessType::Failed);
+            return AccessType::Failed;
+        }
+
+        let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, None);
+        let class = match desc {
+            Some(d) => {
+                self.storage.write(d, data);
+                self.entry_mut(id).desc = d;
+                self.pending.push(id);
+                if self.lru_enabled() {
+                    let last = self.entry(id).last;
+                    let prev = self.recency.insert(last, id);
+                    debug_assert!(prev.is_none(), "recency key collision at {last}");
+                }
+                let copy = self.params.costs.memcpy_cost(size);
+                self.defer(copy);
+                if conflicted {
+                    AccessType::Conflicting
+                } else if evicted_for_space {
+                    AccessType::Capacity
+                } else {
+                    AccessType::Direct
+                }
+            }
+            None => {
+                // Weak caching: give up, the get itself already succeeded.
+                self.index.remove(&key);
+                self.drop_entry(id);
+                AccessType::Failed
+            }
+        };
+        self.stats.record(class);
+        class
     }
 
     /// Phase 2 after a [`Lookup::PartialHit`]: `data` is the *full* payload
@@ -1456,22 +640,95 @@ impl RmaCache {
         data: &[u8],
         version: u64,
     ) -> AccessType {
-        let i = self.shard_idx(&key);
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards[i].finish_partial(params, cx, key, sig, data, version)
+        let size = sig.size();
+        debug_assert_eq!(data.len(), size);
+        let Some(id) = self.index.lookup(&key) else {
+            // The entry vanished (should not happen between phases). The
+            // staged stamp, if any, rides along into the miss path.
+            return self.finish_miss(key, sig, data, version);
+        };
+        // Taken unconditionally so a failed extension cannot leak this
+        // call's stamp into a later, unrelated finish.
+        let staged = self.staged_stamp.take();
+        // The wrapper fetched everything beyond the served prefix (which is
+        // zero for incompatible layouts).
+        self.stats.bytes_from_network +=
+            (size as u64).saturating_sub(self.last_partial_prefix as u64);
+        self.last_partial_prefix = 0;
+
+        if self.entry(id).state == EntryState::Pending {
+            // Cannot touch a pending entry's storage; leave it as-is.
+            self.stats.record(AccessType::Failed);
+            return AccessType::Failed;
+        }
+
+        // Allocate the larger region first so failure leaves the old entry
+        // intact; exclude the entry itself from victim selection.
+        let (desc, evicted_for_space) = self.alloc_with_eviction(size, id, Some(id));
+        let class = match desc {
+            Some(d) => {
+                let old = self.entry(id).desc;
+                self.storage.free(old);
+                self.charge(self.params.costs.alloc_ns);
+                self.storage.write(d, data);
+                {
+                    let e = self.entry_mut(id);
+                    e.desc = d;
+                    e.size = size;
+                    e.sig = sig;
+                    e.state = EntryState::Pending;
+                    e.version = e.version.min(version);
+                    // Head bytes carry the old entry's stamp, tail bytes
+                    // the staged one; the mix is exact only when both are
+                    // exact at the *same* version (no write in between).
+                    e.snap = match staged {
+                        Some(s) if s.exact && e.snap.exact && s.version == e.snap.version => s,
+                        Some(s) => SnapStamp {
+                            version: e.snap.version.min(s.version),
+                            ts: e.snap.ts.min(s.ts),
+                            exact: false,
+                        },
+                        None => SnapStamp {
+                            version: e.snap.version.min(version),
+                            ts: 0,
+                            exact: false,
+                        },
+                    };
+                }
+                if let Some(x) = self.extents.as_mut() {
+                    x.max_size = x.max_size.max(size as u64);
+                }
+                self.cached_count -= 1;
+                self.pending.push(id);
+                let copy = self.params.costs.memcpy_cost(size);
+                self.defer(copy);
+                if evicted_for_space {
+                    AccessType::Capacity
+                } else {
+                    AccessType::Direct
+                }
+            }
+            None => AccessType::Failed,
+        };
+        self.stats.record(class);
+        class
     }
 
     /// Epoch-closure hook: promotes PENDING entries to CACHED and charges
     /// the deferred copy costs (the paper's "data has to be explicitly
     /// copied into the cache memory at the epoch closure time").
     pub fn epoch_close(&mut self) {
-        self.cx.charge(self.params.costs.epoch_hook_ns);
-        let deferred = std::mem::take(&mut self.cx.deferred_ns);
-        self.cx.charge(deferred);
-        for sh in &mut self.shards {
-            sh.promote_pending();
+        self.charge(self.params.costs.epoch_hook_ns);
+        let deferred = std::mem::take(&mut self.deferred_ns);
+        self.charge(deferred);
+        let pending = std::mem::take(&mut self.pending);
+        for id in pending {
+            // Pending entries are excluded from eviction, so each one
+            // must still exist.
+            let e = self.entry_mut(id);
+            debug_assert_eq!(e.state, EntryState::Pending);
+            e.state = EntryState::Cached;
+            self.cached_count += 1;
         }
     }
 
@@ -1486,13 +743,9 @@ impl RmaCache {
     /// puts. The scan is linear in `|I_w|` (puts are assumed rare on
     /// cached windows).
     pub fn invalidate_range(&mut self, target: u32, lo: u64, hi: u64) -> usize {
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards
-            .iter_mut()
-            .map(|sh| sh.invalidate_range(params, cx, target, lo, hi))
-            .sum()
+        self.evict_slots_where(|key, e| {
+            key.target == target && key.disp < hi && lo < key.disp + e.size as u64
+        })
     }
 
     /// Drops every resident entry keyed to `target` whose stored version
@@ -1504,22 +757,17 @@ impl RmaCache {
         if !self.has_entries_for(target) {
             return 0;
         }
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards
-            .iter_mut()
-            .map(|sh| sh.invalidate_target_stale(params, cx, target, version))
-            .sum()
+        self.evict_slots_where(|key, e| key.target == target && e.version != version)
     }
 
     /// Drops every resident entry keyed to `target` that overlaps one of
     /// the put `ranges` (`(lo, hi, version)`, half-open bytes) *and* was
     /// filled before that put (`entry.version < version`); returns how
     /// many were dropped. This is the surgical `EagerInvalidate` path:
-    /// each drained notification record is one range query on the
-    /// shards' extent indexes, so the cost follows the records, not
-    /// `|I_w|`.
+    /// each drained notification record is one range query on the extent
+    /// index, so a pass costs O(records · log n), independent of `|I_w|`.
+    /// Priced as one lookup per record plus one victim-scan visit per
+    /// candidate entry examined.
     ///
     /// # Panics
     ///
@@ -1534,24 +782,43 @@ impl RmaCache {
         if ranges.is_empty() || !self.has_entries_for(target) {
             return 0;
         }
-        let Self {
-            params, shards, cx, ..
-        } = self;
-        shards
-            .iter_mut()
-            .map(|sh| sh.invalidate_overlapping_stale(params, cx, target, ranges))
-            .sum()
+        let Some(x) = self.extents.as_ref() else {
+            unreachable!("invalidate_overlapping_stale needs CoherenceMode::EagerInvalidate")
+        };
+        let reach = x.max_size.saturating_sub(1);
+        let mut visited = 0u64;
+        let mut victims: Vec<(u64, EntryId)> = Vec::new();
+        for &(lo, hi, v) in ranges {
+            let from = (target, lo.saturating_sub(reach), 0);
+            for &(_, disp, id) in x.set.range(from..(target, hi, 0)) {
+                visited += 1;
+                let e = self.entry(id);
+                if lo < disp + e.size as u64 && e.version < v {
+                    victims.push((disp, id));
+                }
+            }
+        }
+        let costs = &self.params.costs;
+        self.charge(costs.lookup_ns * ranges.len() as f64 + costs.evict_visit_ns * visited as f64);
+        // An entry overlapped by several records is a victim once.
+        victims.sort_unstable();
+        victims.dedup();
+        for &(_, id) in &victims {
+            let key = self.entry(id).key;
+            let removed = self.index.remove(&key);
+            debug_assert_eq!(removed, Some(id));
+            self.release_evicted(id);
+        }
+        victims.len()
     }
 
     /// Drops every cached entry (transparent-mode epoch invalidation,
     /// `CLAMPI_Invalidate`, or an adaptive adjustment).
     pub fn invalidate(&mut self) {
-        for sh in &mut self.shards {
-            sh.clear_all();
-        }
-        self.cx.deferred_ns = 0.0;
-        self.cx.target_counts.clear();
-        self.cx.stats.invalidations += 1;
+        self.index.clear();
+        self.storage.clear();
+        self.clear_residents();
+        self.stats.invalidations += 1;
     }
 
     /// The adaptive resize history.
@@ -1560,27 +827,30 @@ impl RmaCache {
     }
 
     /// Replaces `|I_w|` / `|S_w|` and invalidates (adaptive adjustment).
+    /// The index is reseeded per rebuild; the victim-sampling RNG keeps
+    /// its stream.
     pub fn resize(&mut self, index_entries: usize, storage_bytes: usize) {
         self.rebuilds += 1;
         self.resize_log.push(ResizeEvent {
-            at_seq: self.cx.seq,
+            at_seq: self.seq,
             index_entries,
             storage_bytes,
         });
         self.params.index_entries = index_entries.max(1);
         self.params.storage_bytes = storage_bytes;
-        let seed_base = self.params.seed.wrapping_add(self.rebuilds);
-        for (i, sh) in self.shards.iter_mut().enumerate() {
-            sh.rebuild(&self.params, i, seed_base);
-        }
-        self.cx.deferred_ns = 0.0;
-        self.cx.target_counts.clear();
-        self.cx.stats.invalidations += 1;
-        self.cx.stats.adjustments += 1;
+        self.index = CuckooIndex::new(
+            self.params.index_entries,
+            self.params.max_insert_iters,
+            self.params.seed.wrapping_add(self.rebuilds),
+        );
+        self.storage = Storage::new(storage_bytes);
+        self.clear_residents();
+        self.stats.invalidations += 1;
+        self.stats.adjustments += 1;
         // The shadow caches model the live geometry; a resize rebuilds
         // them empty at the new sizes, mirroring the live invalidation.
-        if self.cx.lab.is_some() {
-            self.cx.lab = Some(PolicyLab::new(
+        if self.lab.is_some() {
+            self.lab = Some(PolicyLab::new(
                 self.params.index_entries,
                 self.params.storage_bytes,
                 self.params.sample_size,
@@ -1589,36 +859,33 @@ impl RmaCache {
         }
     }
 
-    /// Every resident (pending or cached) entry, in index-slot order
-    /// shard by shard. Free in virtual time: an introspection view for
-    /// tests and debugging, never on a priced path.
+    /// Every resident (pending or cached) entry, in index-slot order.
+    /// Free in virtual time: an introspection view for tests and
+    /// debugging, never on a priced path.
     pub fn entries(&self) -> impl Iterator<Item = EntryView> + '_ {
-        self.shards.iter().flat_map(|sh| {
-            sh.index.iter().map(move |(_, key, id)| {
-                let e = sh.entry(id);
-                EntryView {
-                    key,
-                    size: e.size,
-                    version: e.version,
-                    state: e.state,
-                }
-            })
+        self.index.iter().map(move |(_, key, id)| {
+            let e = self.entry(id);
+            EntryView {
+                key,
+                size: e.size,
+                version: e.version,
+                state: e.state,
+            }
         })
     }
 
     /// Number of entries in the CACHED state.
     pub fn cached_entries(&self) -> usize {
-        self.shards.iter().map(|s| s.cached_count).sum()
+        self.cached_count
     }
 
     /// An order-independent-of-nothing, content-sensitive fingerprint of
     /// the resident cache state: every occupied index slot contributes its
-    /// position (offset by the shard's slot base), key, entry state, size,
-    /// and stored payload bytes to an FNV-1a hash. Two caches that went
-    /// through the same sequence of state transitions fingerprint
-    /// identically; any divergence in placement, classification, or bytes
-    /// shows up. Used by the nonblocking-vs-blocking equivalence property
-    /// test.
+    /// position, key, entry state, size, and stored payload bytes to an
+    /// FNV-1a hash. Two caches that went through the same sequence of
+    /// state transitions fingerprint identically; any divergence in
+    /// placement, classification, or bytes shows up. Used by the
+    /// nonblocking-vs-blocking equivalence property test.
     pub fn content_fingerprint(&self) -> u64 {
         struct Fnv(u64);
         impl Fnv {
@@ -1633,31 +900,387 @@ impl RmaCache {
             }
         }
         let mut h = Fnv(0xcbf29ce484222325);
-        let mut slot_base = 0u64;
-        for sh in &self.shards {
-            for slot in 0..sh.index.capacity() {
-                let Some((key, id)) = sh.index.slot(slot) else {
-                    continue;
-                };
-                let e = sh.entry(id);
-                h.word(slot_base + slot as u64);
-                h.word(key.target as u64);
-                h.word(key.disp);
-                h.word(match e.state {
-                    EntryState::Pending => 1,
-                    EntryState::Cached => 2,
-                });
-                h.word(e.size as u64);
-                if e.desc != NO_DESC {
-                    for &b in sh.storage.read(e.desc, e.size) {
-                        h.byte(b);
-                    }
+        for (slot, key, id) in self.index.iter() {
+            let e = self.entry(id);
+            h.word(slot as u64);
+            h.word(key.target as u64);
+            h.word(key.disp);
+            h.word(match e.state {
+                EntryState::Pending => 1,
+                EntryState::Cached => 2,
+            });
+            h.word(e.size as u64);
+            if e.desc != NO_DESC {
+                for &b in self.storage.read(e.desc, e.size) {
+                    h.byte(b);
                 }
             }
-            slot_base += sh.index.capacity() as u64;
         }
         h.0
     }
+
+    fn charge(&mut self, ns: f64) {
+        self.uncharged_ns += ns;
+    }
+
+    fn defer(&mut self, ns: f64) {
+        self.deferred_ns += ns;
+    }
+
+    fn entry(&self, id: EntryId) -> &Entry {
+        // xlint: allow(no-unwrap) invariant: ids are only handed out for live slots
+        self.entries[id as usize].as_ref().expect("stale entry id")
+    }
+
+    fn entry_mut(&mut self, id: EntryId) -> &mut Entry {
+        // xlint: allow(no-unwrap) invariant: ids are only handed out for live slots
+        self.entries[id as usize].as_mut().expect("stale entry id")
+    }
+
+    fn alloc_entry(&mut self, e: Entry) -> EntryId {
+        let t = e.key.target as usize;
+        if t >= self.target_counts.len() {
+            self.target_counts.resize(t + 1, 0);
+        }
+        self.target_counts[t] += 1;
+        let (key, size) = (e.key, e.size as u64);
+        let id = if let Some(id) = self.spare.pop() {
+            self.entries[id as usize] = Some(e);
+            id
+        } else {
+            self.entries.push(Some(e));
+            (self.entries.len() - 1) as EntryId
+        };
+        if let Some(x) = self.extents.as_mut() {
+            x.set.insert((key.target, key.disp, id));
+            x.max_size = x.max_size.max(size);
+            // An ordered-set update, priced like the storage AVL's.
+            self.charge(self.params.costs.alloc_ns);
+        }
+        id
+    }
+
+    fn lru_enabled(&self) -> bool {
+        self.params.victim_scheme == VictimScheme::ExactLru
+    }
+
+    /// Moves `id` from recency position `old` to `new` (ExactLru only).
+    fn touch_recency(&mut self, id: EntryId, old: u64, new: u64) {
+        if self.lru_enabled() && old != new {
+            self.recency.remove(&old);
+            let prev = self.recency.insert(new, id);
+            debug_assert!(prev.is_none(), "recency key collision at {new}");
+            // The recency update is real work on every hit: the price of
+            // exact LRU the paper's sampled scheme avoids.
+            self.charge(self.params.costs.insert_step_ns);
+        }
+    }
+
+    /// Used fraction of the storage buffer — the lease table's feedback
+    /// signal for steering the short/long mix.
+    fn storage_pressure(&self) -> f64 {
+        let cap = self.storage.capacity();
+        if cap == 0 {
+            0.0
+        } else {
+            1.0 - self.storage.free_bytes() as f64 / cap as f64
+        }
+    }
+
+    /// Under the lease policy: records this access in the reuse predictor
+    /// and assigns a fresh lease, returning the absolute expiry. Charged
+    /// like a recency update — lease maintenance is real per-access work,
+    /// the price ExactLru pays for its recency index.
+    fn assign_lease(&mut self, key: &GetKey) -> u64 {
+        let pressure = self.storage_pressure();
+        let Some(t) = self.lease.as_mut() else {
+            return 0;
+        };
+        let expiry = t.observe_and_assign(key.stripe(), self.seq, pressure);
+        self.charge(self.params.costs.insert_step_ns);
+        expiry
+    }
+
+    /// Renews `id`'s lease on a hit (lease policy only).
+    fn renew_lease(&mut self, id: EntryId, key: &GetKey) {
+        if self.params.victim_scheme != VictimScheme::Lease {
+            return;
+        }
+        let expiry = self.assign_lease(key);
+        self.entry_mut(id).lease = expiry;
+    }
+
+    fn drop_entry(&mut self, id: EntryId) {
+        if self.lru_enabled() {
+            let last = self.entry(id).last;
+            self.recency.remove(&last);
+        }
+        // xlint: allow(no-unwrap) invariant: callers drop an id at most once
+        let e = self.entries[id as usize].take().expect("double entry drop");
+        self.target_counts[e.key.target as usize] -= 1;
+        if let Some(x) = self.extents.as_mut() {
+            let removed = x.set.remove(&(e.key.target, e.key.disp, id));
+            debug_assert!(removed, "resident entry missing from the extent index");
+            self.charge(self.params.costs.alloc_ns);
+        }
+        match e.state {
+            EntryState::Cached => self.cached_count -= 1,
+            // A PENDING entry can be dropped when a Cuckoo displacement
+            // chain leaves it homeless; forget its scheduled promotion.
+            EntryState::Pending => self.pending.retain(|&p| p != id),
+        }
+        self.spare.push(id);
+    }
+
+    /// Cuckoo insertion with the paper's conflicting-access handling: a
+    /// cycle evicts the lowest-score CACHED entry on the insertion path and
+    /// retries. Returns `(inserted, conflicted)`.
+    fn insert_with_path_eviction(&mut self, key: GetKey, id: EntryId) -> (bool, bool) {
+        const MAX_RETRIES: usize = 4;
+        let mut conflicted = false;
+        let mut cur = (key, id);
+        for attempt in 0..MAX_RETRIES {
+            match self.index.insert(cur.0, cur.1) {
+                InsertOutcome::Placed { steps } => {
+                    self.charge(self.params.costs.insert_step_ns * (steps + 1) as f64);
+                    return (true, conflicted);
+                }
+                InsertOutcome::Cycle { homeless, path } => {
+                    conflicted = true;
+                    self.charge(self.params.costs.insert_step_ns * path.len() as f64);
+                    if attempt + 1 == MAX_RETRIES {
+                        return self.resolve_homeless(homeless, id, conflicted);
+                    }
+                    // Victim: lowest score among CACHED entries on the path.
+                    let mut best: Option<(usize, EntryId, f64)> = None;
+                    for &slot in &path {
+                        if let Some((_k, eid)) = self.index.slot(slot) {
+                            if eid == id {
+                                continue;
+                            }
+                            let e = self.entry(eid);
+                            if e.state != EntryState::Cached {
+                                continue;
+                            }
+                            let s = self.entry_score(eid);
+                            if best.is_none_or(|(_, _, bs)| s < bs) {
+                                best = Some((slot, eid, s));
+                            }
+                        }
+                    }
+                    match best {
+                        Some((slot, victim, _)) => {
+                            self.evict_resident(slot, victim);
+                            cur = homeless;
+                        }
+                        None => {
+                            return self.resolve_homeless(homeless, id, conflicted);
+                        }
+                    }
+                }
+            }
+        }
+        unreachable!("loop returns on the last attempt")
+    }
+
+    fn resolve_homeless(
+        &mut self,
+        homeless: (GetKey, EntryId),
+        new_id: EntryId,
+        conflicted: bool,
+    ) -> (bool, bool) {
+        if homeless.1 == new_id {
+            // The new entry itself could not be placed; nothing to undo.
+            (false, conflicted)
+        } else {
+            // The new key is placed; the displaced resident is dropped
+            // (it lost its slot and path eviction found no better victim).
+            self.free_entry_storage(homeless.1);
+            self.drop_entry(homeless.1);
+            (true, conflicted)
+        }
+    }
+
+    fn free_entry_storage(&mut self, id: EntryId) {
+        let desc = self.entry(id).desc;
+        if desc != NO_DESC {
+            self.storage.free(desc);
+            self.charge(self.params.costs.alloc_ns);
+        }
+    }
+
+    fn entry_score(&self, id: EntryId) -> f64 {
+        let e = self.entry(id);
+        let policy = self.params.victim_scheme;
+        if policy == VictimScheme::Lease {
+            // Remaining lease under the get-sequence clock: expired
+            // entries go negative and are reclaimed most-expired-first;
+            // unexpired ones fall back to least-lease-left. Used on both
+            // the capacity and the conflicting (Cuckoo path) victim
+            // scans, so one comparison rule governs all lease evictions.
+            return e.lease as f64 - self.seq as f64;
+        }
+        let r_t = temporal_score(e.last, self.seq);
+        let r_p = positional_score(self.ags, self.storage.adjacent_free(e.desc));
+        score(policy, r_p, r_t)
+    }
+
+    /// Removes a resident entry found at `slot` and releases its storage.
+    fn evict_resident(&mut self, slot: usize, id: EntryId) {
+        let removed = self.index.remove_slot(slot);
+        debug_assert!(matches!(removed, Some((_, e)) if e == id));
+        self.release_evicted(id);
+    }
+
+    /// Second half of an eviction, once `id` has left the index: counts
+    /// an expired lease, releases the storage, drops the entry.
+    fn release_evicted(&mut self, id: EntryId) {
+        if self.params.victim_scheme == VictimScheme::Lease && self.entry(id).lease <= self.seq {
+            self.stats.lease_expiries += 1;
+        }
+        self.free_entry_storage(id);
+        self.drop_entry(id);
+    }
+
+    /// Best-fit allocation with up to `max_evictions_per_miss`
+    /// capacity-eviction attempts on failure (1 = the paper's weak
+    /// caching).
+    fn alloc_with_eviction(
+        &mut self,
+        size: usize,
+        id: EntryId,
+        exclude: Option<EntryId>,
+    ) -> (Option<DescId>, bool) {
+        self.charge(self.params.costs.alloc_ns);
+        if let Some(d) = self.storage.alloc(size, id) {
+            return (Some(d), false);
+        }
+        let budget = self.params.max_evictions_per_miss.max(1);
+        for _ in 0..budget {
+            if !self.run_capacity_eviction(exclude) {
+                return (None, true);
+            }
+            self.charge(self.params.costs.alloc_ns);
+            if let Some(d) = self.storage.alloc(size, id) {
+                return (Some(d), true);
+            }
+        }
+        (None, true)
+    }
+
+    /// The sampled victim selection of Sec. III-D: scan at least `M`
+    /// consecutive index slots from a random start (continuing until a
+    /// candidate appears), evict the lowest-score CACHED entry.
+    fn run_capacity_eviction(&mut self, exclude: Option<EntryId>) -> bool {
+        if self.lru_enabled() {
+            return self.run_exact_lru_eviction(exclude);
+        }
+        let cap = self.index.capacity();
+        let start = self.rng.gen_range(0..cap);
+        let m = self.params.sample_size.max(1);
+        let mut visited = 0usize;
+        let mut nonempty = 0u64;
+        let mut best: Option<(usize, EntryId, f64)> = None;
+        while visited < cap {
+            let pos = (start + visited) % cap;
+            visited += 1;
+            if let Some((_k, eid)) = self.index.slot(pos) {
+                nonempty += 1;
+                let evictable = Some(eid) != exclude && self.entry(eid).state == EntryState::Cached;
+                if evictable {
+                    let s = self.entry_score(eid);
+                    if best.is_none_or(|(_, _, bs)| s < bs) {
+                        best = Some((pos, eid, s));
+                    }
+                }
+            }
+            if visited >= m && best.is_some() {
+                break;
+            }
+        }
+        self.stats.evictions += 1;
+        self.stats.visited_slots += visited as u64;
+        self.stats.visited_nonempty += nonempty;
+        self.charge(self.params.costs.evict_visit_ns * visited as f64);
+        match best {
+            Some((slot, victim, _)) => {
+                self.evict_resident(slot, victim);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Exact-LRU capacity eviction: walk the recency index oldest-first
+    /// and evict the first CACHED (non-excluded) entry.
+    fn run_exact_lru_eviction(&mut self, exclude: Option<EntryId>) -> bool {
+        let mut victim = None;
+        let mut visited = 0u64;
+        for (_, &id) in self.recency.iter() {
+            visited += 1;
+            if Some(id) != exclude && self.entry(id).state == EntryState::Cached {
+                victim = Some(id);
+                break;
+            }
+        }
+        self.stats.evictions += 1;
+        self.stats.visited_slots += visited;
+        self.stats.visited_nonempty += visited;
+        self.charge(self.params.costs.evict_visit_ns * visited as f64);
+        match victim {
+            Some(id) => {
+                let key = self.entry(id).key;
+                let removed = self.index.remove(&key);
+                debug_assert_eq!(removed, Some(id));
+                self.free_entry_storage(id);
+                self.drop_entry(id);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Full-index scan shared by the linear invalidation passes: charges
+    /// one victim-scan visit per slot, then evicts every resident for
+    /// which `pred(key, entry)` holds. Returns how many were dropped.
+    fn evict_slots_where(&mut self, pred: impl Fn(GetKey, &Entry) -> bool) -> usize {
+        let cap = self.index.capacity();
+        self.charge(self.params.costs.evict_visit_ns * cap as f64);
+        let victims: Vec<(usize, EntryId)> = self
+            .index
+            .iter()
+            .filter(|&(_, key, id)| pred(key, self.entry(id)))
+            .map(|(slot, _, id)| (slot, id))
+            .collect();
+        let dropped = victims.len();
+        for (slot, id) in victims {
+            self.evict_resident(slot, id);
+        }
+        dropped
+    }
+
+    /// Forgets every resident's bookkeeping (slab, pending list, recency
+    /// and extent indexes, per-target counts, deferred copies) once the
+    /// index and storage have been emptied or replaced. The recency index
+    /// must go too: after the slab resets, stale recency ids would alias
+    /// re-issued entry ids and corrupt ExactLru victim order.
+    fn clear_residents(&mut self) {
+        self.entries.clear();
+        self.spare.clear();
+        self.pending.clear();
+        self.recency.clear();
+        self.cached_count = 0;
+        if let Some(x) = self.extents.as_mut() {
+            x.clear();
+        }
+        self.deferred_ns = 0.0;
+        self.target_counts.clear();
+    }
+}
+
+/// Seed of the lease table, derived from the cache seed.
+fn lease_seed(params: &CacheParams) -> u64 {
+    params.seed ^ 0x1EA5_E000
 }
 
 #[cfg(test)]
@@ -1832,8 +1455,7 @@ mod tests {
         );
         assert!(c.len() <= 4);
         // Every resident entry still serves correct data.
-        let resident: Vec<(GetKey, EntryId)> =
-            (0..4).filter_map(|s| c.shards[0].index.slot(s)).collect();
+        let resident: Vec<(GetKey, EntryId)> = (0..4).filter_map(|s| c.index.slot(s)).collect();
         for (k, _) in resident {
             let mut dst = vec![0u8; 64];
             assert_eq!(
@@ -1989,105 +1611,6 @@ mod tests {
         assert_eq!(
             c.process_lookup(cold, &LayoutSig::Contig(512), &mut dst),
             Lookup::Miss
-        );
-    }
-
-    #[test]
-    fn sharded_cache_splits_capacity_and_stays_consistent() {
-        // 4 shards, capacity split evenly; every insert lands in the shard
-        // its stripe selects and later hits from there.
-        let mut c = RmaCache::new(CacheParams {
-            index_entries: 256,
-            storage_bytes: 64 << 10,
-            costs: CacheCostModel::free(),
-            shards: 4,
-            ..CacheParams::default()
-        });
-        assert_eq!(c.shards.len(), 4);
-        for sh in &c.shards {
-            assert_eq!(sh.index.capacity(), 64);
-            assert_eq!(sh.storage.capacity(), 16 << 10);
-        }
-        for i in 0..64u64 {
-            let data = vec![i as u8; 128];
-            assert_eq!(insert(&mut c, key(0, i * 1000), &data), AccessType::Direct);
-        }
-        c.epoch_close();
-        assert_eq!(c.len(), 64);
-        assert_eq!(c.cached_entries(), 64);
-        assert!(
-            c.shards.iter().all(|s| !s.index.is_empty()),
-            "64 keys over 4 stripes should touch every shard"
-        );
-        for i in 0..64u64 {
-            let mut dst = vec![0u8; 128];
-            assert_eq!(
-                c.process_lookup(key(0, i * 1000), &LayoutSig::Contig(128), &mut dst),
-                Lookup::Hit
-            );
-            assert_eq!(dst, vec![i as u8; 128]);
-        }
-        assert_eq!(c.stats().hits, 64);
-        // Cross-shard invalidation drops everything.
-        c.invalidate();
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn shard_zero_of_one_matches_unsharded_seeds() {
-        // `shards: 1` must reproduce the historical seed streams exactly:
-        // same index placement, same victim sampling, same fingerprints.
-        let mut a = RmaCache::new(params(64, 4096));
-        let mut b = RmaCache::new(CacheParams {
-            shards: 1,
-            ..params(64, 4096)
-        });
-        for i in 0..32u64 {
-            let data = vec![i as u8; 200];
-            assert_eq!(
-                insert(&mut a, key(1, i * 64), &data),
-                insert(&mut b, key(1, i * 64), &data)
-            );
-            a.epoch_close();
-            b.epoch_close();
-        }
-        assert_eq!(a.content_fingerprint(), b.content_fingerprint());
-        assert_eq!(a.stats().evictions, b.stats().evictions);
-    }
-
-    #[test]
-    fn racy_probe_agrees_with_process_lookup_on_stable_state() {
-        let mut c = cache(64, 8 << 10);
-        for i in 0..16u64 {
-            insert(&mut c, key(0, i * 100), &[i as u8; 64]);
-        }
-        c.epoch_close();
-        let sh = &c.shards[0];
-        for i in 0..16u64 {
-            let mut dst = vec![0u8; 64];
-            assert_eq!(sh.racy_probe(&key(0, i * 100), &mut dst), ProbeResult::Hit);
-            assert_eq!(dst, vec![i as u8; 64]);
-        }
-        let mut dst = vec![0u8; 64];
-        assert_eq!(sh.racy_probe(&key(9, 0), &mut dst), ProbeResult::Miss);
-        // Oversized request: a clean miss, not a retry.
-        let mut big = vec![0u8; 128];
-        assert_eq!(sh.racy_probe(&key(0, 0), &mut big), ProbeResult::Miss);
-    }
-
-    #[test]
-    fn racy_probe_reports_retry_on_pending_entries() {
-        let mut c = cache(64, 4096);
-        insert(&mut c, key(0, 0), &[1u8; 64]); // still PENDING
-        let mut dst = vec![0u8; 64];
-        assert_eq!(
-            c.shards[0].racy_probe(&key(0, 0), &mut dst),
-            ProbeResult::Retry
-        );
-        c.epoch_close();
-        assert_eq!(
-            c.shards[0].racy_probe(&key(0, 0), &mut dst),
-            ProbeResult::Hit
         );
     }
 }

@@ -43,9 +43,10 @@ impl GetKey {
         x
     }
 
-    /// A well-mixed value for striping keys across cache shards. One more
-    /// finalizer round on top of [`GetKey::mix`] so the stripe bits do not
-    /// correlate with the inputs the per-shard universal hashers see.
+    /// A well-mixed digest of the key, keying the per-stripe state of the
+    /// lease table and the policy lab's shadows. One more finalizer round
+    /// on top of [`GetKey::mix`] so the stripe bits do not correlate with
+    /// the inputs the index's universal hashers see.
     pub fn stripe(&self) -> u64 {
         let mut x = self.mix();
         x = x.wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -63,6 +63,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod blockcache;
@@ -73,12 +74,9 @@ pub mod eviction;
 pub mod index;
 pub mod lease;
 pub mod recovery;
-pub mod seqlock;
-pub mod shard;
 pub mod snapshot;
 pub mod stats;
 pub mod storage;
-pub mod sync_shim;
 pub mod trace;
 pub mod vcache;
 pub mod window;
@@ -92,7 +90,6 @@ pub use eviction::{VictimScheme, POLICY_COUNT};
 pub use index::{CuckooIndex, EntryId, GetKey};
 pub use lease::LeaseTable;
 pub use recovery::RetryPolicy;
-pub use shard::ShardedCache;
 pub use snapshot::{SnapReq, SnapStamp, SnapshotCtx, SnapshotError, SnapshotInfo};
 pub use stats::{AccessType, CacheStats};
 pub use trace::{replay, ReplayCosts, ReplayResult, Trace, TraceEvent};

@@ -136,14 +136,6 @@ pub struct CacheStats {
     pub notification_overflows: u64,
     /// Remote version fetches issued by `EpochValidate` passes.
     pub version_fetches: u64,
-    /// Optimistic (seqlock) hit-path reads discarded because the shard's
-    /// sequence counter changed mid-copy; each one retried or fell back to
-    /// the locked path ([`crate::ShardedCache`]).
-    pub opt_retries: u64,
-    /// Hit-path reads served under the shard read lock instead of the
-    /// optimistic path (fallback after repeated validation failures or a
-    /// mid-mutation probe).
-    pub locked_reads: u64,
     /// Live victim-policy switches applied (adaptive [`SwitchPolicy`]
     /// adjustments plus explicit `set_victim_scheme` calls that changed
     /// the policy).
@@ -277,8 +269,6 @@ impl CacheStats {
             notifications_drained: self.notifications_drained - earlier.notifications_drained,
             notification_overflows: self.notification_overflows - earlier.notification_overflows,
             version_fetches: self.version_fetches - earlier.version_fetches,
-            opt_retries: self.opt_retries - earlier.opt_retries,
-            locked_reads: self.locked_reads - earlier.locked_reads,
             policy_switches: self.policy_switches - earlier.policy_switches,
             lease_expiries: self.lease_expiries - earlier.lease_expiries,
             shadow_gets: self.shadow_gets - earlier.shadow_gets,
@@ -321,8 +311,6 @@ impl CacheStats {
         self.notifications_drained += other.notifications_drained;
         self.notification_overflows += other.notification_overflows;
         self.version_fetches += other.version_fetches;
-        self.opt_retries += other.opt_retries;
-        self.locked_reads += other.locked_reads;
         self.policy_switches += other.policy_switches;
         self.lease_expiries += other.lease_expiries;
         self.shadow_gets += other.shadow_gets;
@@ -405,8 +393,6 @@ mod tests {
             notifications_drained: 30,
             notification_overflows: 3,
             version_fetches: 12,
-            opt_retries: 6,
-            locked_reads: 8,
             policy_switches: 4,
             lease_expiries: 40,
             shadow_gets: 100,
@@ -422,8 +408,6 @@ mod tests {
             notifications_drained: 10,
             notification_overflows: 1,
             version_fetches: 2,
-            opt_retries: 1,
-            locked_reads: 3,
             policy_switches: 1,
             lease_expiries: 15,
             shadow_gets: 30,
@@ -439,8 +423,6 @@ mod tests {
         assert_eq!(d.notifications_drained, 20);
         assert_eq!(d.notification_overflows, 2);
         assert_eq!(d.version_fetches, 10);
-        assert_eq!(d.opt_retries, 5);
-        assert_eq!(d.locked_reads, 5);
         assert_eq!(d.policy_switches, 3);
         assert_eq!(d.lease_expiries, 25);
         assert_eq!(d.shadow_gets, 70);
@@ -489,8 +471,6 @@ mod tests {
             notifications_drained: next(),
             notification_overflows: next(),
             version_fetches: next(),
-            opt_retries: next(),
-            locked_reads: next(),
             policy_switches: next(),
             lease_expiries: next(),
             shadow_gets: next(),

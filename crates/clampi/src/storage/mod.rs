@@ -205,22 +205,6 @@ impl Storage {
         &self.buf[d.offset..d.offset + len]
     }
 
-    /// The byte offset of a region's start in the buffer. The concurrent
-    /// front caches this on the entry so its optimistic readers never walk
-    /// the descriptor list.
-    pub fn offset(&self, id: DescId) -> usize {
-        self.descs.get(id).offset
-    }
-
-    /// Panic-free positional read: the `len` bytes starting at raw offset
-    /// `off`, or `None` when the range leaves the buffer. Used by the
-    /// seqlock hit path, which may probe with a torn (stale) offset and
-    /// must never fault — the sequence validation discards the bytes.
-    pub fn bytes_at(&self, off: usize, len: usize) -> Option<&[u8]> {
-        let end = off.checked_add(len)?;
-        self.buf.get(off..end)
-    }
-
     /// The free bytes adjacent to an entry's region — the paper's `d_c`,
     /// read off the address-ordered neighbours in `O(1)`.
     pub fn adjacent_free(&self, id: DescId) -> usize {

@@ -37,7 +37,7 @@ pub enum TraceEvent {
     /// `target`'s window — what a coherence pass or a per-target
     /// degradation performs. A *full* invalidation (`CLAMPI_Invalidate`)
     /// is the sentinel `target == u32::MAX` (with `disp == 0`,
-    /// `len == u64::MAX`), so legacy target-less traces stay replayable.
+    /// `len == u64::MAX`).
     Invalidate {
         /// Target rank, or `u32::MAX` for a full invalidation.
         target: u32,
@@ -82,8 +82,8 @@ pub struct Trace {
 
 /// Format version 2: `Invalidate` carries `(target, disp, len)`.
 const MAGIC: &[u8; 8] = b"CLAMPIT2";
-/// Format version 1 (read-only support): `Invalidate` is a bare tag and
-/// always means a full invalidation.
+/// Retired format version 1 (bare `Invalidate` tag). Recognised only so
+/// that such input is refused by name instead of reported as garbage.
 const MAGIC_V1: &[u8; 8] = b"CLAMPITR";
 const TAG_GET: u8 = 1;
 const TAG_EPOCH: u8 = 2;
@@ -183,24 +183,23 @@ impl Trace {
         out
     }
 
-    /// Parses the binary format. Accepts both the current version-2
-    /// layout (`CLAMPIT2`, 20-byte invalidate payload) and the legacy
-    /// version-1 layout (`CLAMPITR`, bare invalidate tag — decoded as a
-    /// full invalidation).
+    /// Parses the version-2 binary format (`CLAMPIT2`).
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed byte sequence.
+    /// Returns a description of the first malformed byte sequence. A
+    /// version-1 trace (`CLAMPITR`) is refused with an error naming the
+    /// retired format.
     pub fn from_bytes(data: &[u8]) -> Result<Self, String> {
-        let legacy = if data.len() < 16 {
+        if data.len() < 16 {
             return Err("not a CLaMPI trace (too short)".into());
-        } else if &data[..8] == MAGIC {
-            false
         } else if &data[..8] == MAGIC_V1 {
-            true
-        } else {
+            return Err("CLAMPITR (version 1) traces are no longer supported; \
+                 re-record the trace in the CLAMPIT2 format"
+                .into());
+        } else if &data[..8] != MAGIC {
             return Err("not a CLaMPI trace (bad magic)".into());
-        };
+        }
         let count = le64(data, 8) as usize;
         let mut events = Vec::with_capacity(count);
         let mut at = 16;
@@ -221,7 +220,6 @@ impl Trace {
                     events.push(TraceEvent::Get { target, disp, size });
                 }
                 TAG_EPOCH => events.push(TraceEvent::EpochClose),
-                TAG_INVALIDATE if legacy => events.push(INVALIDATE_ALL),
                 TAG_INVALIDATE => {
                     if data.len() < at + 20 {
                         return Err(format!("truncated invalidate at event {i}"));
@@ -418,8 +416,8 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_traces_still_parse() {
-        // Hand-build a v1 stream: one get, one epoch, one bare invalidate.
+    fn legacy_v1_traces_are_rejected() {
+        // A v1 stream: one get, one epoch, one bare invalidate.
         let mut v1 = Vec::new();
         v1.extend_from_slice(b"CLAMPITR");
         v1.extend_from_slice(&3u64.to_le_bytes());
@@ -429,22 +427,18 @@ mod tests {
         v1.extend_from_slice(&128u32.to_le_bytes());
         v1.push(TAG_EPOCH);
         v1.push(TAG_INVALIDATE); // bare: no payload in v1
-        let t = Trace::from_bytes(&v1).unwrap();
-        assert_eq!(
-            t.events(),
-            &[
-                TraceEvent::Get {
-                    target: 1,
-                    disp: 256,
-                    size: 128
-                },
-                TraceEvent::EpochClose,
-                INVALIDATE_ALL,
-            ]
+        let err = Trace::from_bytes(&v1).unwrap_err();
+        assert!(
+            err.contains("CLAMPITR (version 1)"),
+            "must name the format: {err}"
         );
-        // The legacy full invalidation replays as a total cache drop.
-        let r = replay(&t, CacheParams::default(), ReplayCosts::default());
-        assert_eq!(r.stats.invalidations, 1);
+        // Through the file API it surfaces as InvalidData.
+        let path = std::env::temp_dir().join(format!("clampi_v1_{}.trace", std::process::id()));
+        std::fs::write(&path, &v1).unwrap();
+        let io = Trace::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(io.kind(), std::io::ErrorKind::InvalidData);
+        assert!(io.to_string().contains("CLAMPITR"));
     }
 
     #[test]

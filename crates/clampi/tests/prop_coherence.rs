@@ -31,7 +31,7 @@
 //!    [`RmaCache::invalidate_overlapping_stale`] drops the same entries
 //!    a brute-force scan of every resident entry selects — over random
 //!    entry sizes and extensions, partial overlaps, several records per
-//!    entry, pending entries and several shards.
+//!    entry and pending entries.
 
 use clampi::index::GetKey;
 use clampi::{
@@ -434,7 +434,6 @@ fn prop_extent_index_invalidation_matches_slot_scan() {
             index_entries: g.range(16..160usize),
             storage_bytes: g.range(1usize << 10..16 << 10),
             coherence: CoherenceMode::EagerInvalidate,
-            shards: g.range(1..=3usize),
             seed: g.u64(),
             ..CacheParams::default()
         });

@@ -16,11 +16,16 @@
 //! 2. the same holds under transient fault injection with retries —
 //!    both paths consume the same fault-decision stream;
 //! 3. the nonblocking path never takes *longer* in virtual time than
-//!    blocking, and coalescing only widens that gap.
+//!    blocking, and coalescing only widens that gap;
+//! 4. a random mix of `get`/`get_nb`/`put` (with interleaved flushes,
+//!    and every put flushed on both sides so it never shares an epoch
+//!    with a conflicting access) leaves the stats classification exact:
+//!    `hits + direct + conflicting + capacity + failed == total_gets`.
 
 use clampi::{AccessType, CacheParams, CacheStats, CachedWindow, ClampiConfig, Mode, RetryPolicy};
 use clampi_datatype::Datatype;
 use clampi_prng::prop::{check, Gen};
+use clampi_prng::SmallRng;
 use clampi_rma::{run_collect, FaultConfig, SimConfig};
 
 const WIN: usize = 4096;
@@ -222,5 +227,62 @@ fn prop_coalescing_is_behavior_preserving_and_no_slower() {
             coalesced.elapsed_ns,
             uncoalesced.elapsed_ns
         );
+    });
+}
+
+#[test]
+fn prop_windowed_engine_keeps_stats_partition() {
+    check("windowed_engine_keeps_stats_partition", 24, |g| {
+        let records = g.range(4..=16usize);
+        let rec_len = 8 * g.range(1..=8usize);
+        let ops = g.range(20..=120usize);
+        let seed = g.u64();
+        let win_size = records * rec_len;
+
+        let reports = run_collect(SimConfig::bench(), 2, move |p| {
+            let cfg = ClampiConfig::fixed(Mode::AlwaysCache, CacheParams::default());
+            let mut win = CachedWindow::create(p, win_size, cfg);
+            if p.rank() == 1 {
+                win.local_mut().fill(7);
+            }
+            p.barrier();
+            if p.rank() == 0 {
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let dt = Datatype::bytes(rec_len);
+                let mut dst = vec![0u8; rec_len];
+                win.lock_all(p);
+                for _ in 0..ops {
+                    let r = rng.gen_range(0..records);
+                    match rng.gen_range(0..10u32) {
+                        0..=4 => {
+                            win.get(p, &mut dst, 1, r * rec_len, &dt, 1);
+                        }
+                        5..=7 => {
+                            win.get_nb(p, &mut dst, 1, r * rec_len, &dt, 1);
+                        }
+                        8 => {
+                            // A put conflicts with any get or put of the
+                            // same range in its epoch (MPI-3), so it gets
+                            // an epoch of its own: flush on both sides.
+                            let src = vec![rng.gen_range(0..=255u32) as u8; rec_len];
+                            win.flush(p, 1);
+                            win.put(p, &src, 1, r * rec_len, &dt, 1);
+                            win.flush(p, 1);
+                        }
+                        _ => win.flush_all(p),
+                    }
+                }
+                win.flush_all(p);
+                let s = win.stats();
+                assert_eq!(
+                    s.hits + s.direct + s.conflicting + s.capacity + s.failed,
+                    s.total_gets,
+                    "stats classes must partition total_gets: {s:?}"
+                );
+                win.unlock_all(p);
+            }
+            p.barrier();
+        });
+        assert_eq!(reports.len(), 2);
     });
 }

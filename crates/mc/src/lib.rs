@@ -12,10 +12,11 @@
 //! - [`spawn`]/[`JoinHandle`] — virtual threads on a cooperative scheduler.
 //!
 //! Outside an exploration every primitive degrades to its `std` counterpart
-//! with zero behavioral difference, which is what the `clampi::sync_shim`
-//! facade relies on: shipped protocol code (the seqlock front, the snapshot
-//! commit clock) is compiled onto these types under `--cfg clampi_mc` and
-//! onto plain `std::sync::atomic` otherwise.
+//! with zero behavioral difference, which is what the [`shim`] facade relies
+//! on: shipped protocol code (the snapshot commit clock) is compiled onto
+//! these types under `--cfg clampi_mc` and onto plain `std::sync::atomic`
+//! otherwise. The snapshot protocol's `mc_*` tests in `clampi` drive the
+//! checker's primitives directly.
 //!
 //! # Example
 //!

@@ -4,7 +4,7 @@
 //! this suite first and refuses to run the real checks if any mutant
 //! escapes.
 //!
-//! The three planted mutants from the issue:
+//! The three planted mutants:
 //! 1. seqlock writer drops its Release fence,
 //! 2. seqlock reader loads the seq counter Relaxed (instead of Acquire),
 //! 3. commit timestamps stamped outside the ring lock.
@@ -15,10 +15,10 @@ use std::sync::Arc;
 use clampi_mc as mc;
 
 // ---------------------------------------------------------------------------
-// Transliterated seqlock front (shard.rs recipe), with mutation switches.
-// The shipped code itself is model-checked by `clampi`'s `mc_*` unit tests
-// under `--cfg clampi_mc`; these transliterations exist so the checker's own
-// mutant-catching power is validated in every tier-1 run.
+// A seqlock (Boehm's fence recipe), with mutation switches. It is the
+// checker's own self-test of fence and acquire modelling and mirrors no
+// shipped code; the shipped protocols (snapshot reads, commit clock) are
+// model-checked by the `mc_*` unit tests under `--cfg clampi_mc`.
 // ---------------------------------------------------------------------------
 
 #[derive(Clone, Copy)]
@@ -47,7 +47,7 @@ fn seqlock_body(v: SeqlockVariant) {
         d1_w.store(2, Relaxed);
         seq_w.store(s + 2, Release);
     });
-    // Reader: one optimistic attempt of the shard.rs recipe.
+    // Reader: one optimistic attempt of the recipe.
     let s1 = seq.load(if v.reader_acquire_load {
         Acquire
     } else {
